@@ -4,7 +4,7 @@ functions, and truncation-verified stream constructions."""
 
 __version__ = "0.1.0"
 
-from .densities import DensityResult, UndecidedError, density, lower_density, sym_diff_finite, upper_density
+from .densities import DensityResult, UndecidedError, density, sym_diff_finite
 from .dominance import (
     CHAIN_ORDER,
     DOMINANCE_PREDICATES,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .densities import DensityResult, density
+from .densities import DEFAULT_CHECKPOINT_MAX, DensityResult, density
 from .dominance import (
     DOMINANCE_PREDICATES,
     anonymity_equivalent,
@@ -30,6 +29,7 @@ from .dominance import (
 )
 from .dsl import DslError, format_permutation, format_set, parse_rational, parse_set, parse_stream
 from .gadgets import (
+    DEFAULT_PERMUTATION_CAP,
     GadgetError,
     build_sequence_gadget,
     build_threshold_gadget,
@@ -40,16 +40,21 @@ from .gadgets import (
     verify_sequence_chain,
 )
 from .indexsets import IndexSetError
-from .streams import StreamError, prefix
+from .streams import DEFAULT_HORIZON, StreamError, prefix, values
 from .verdicts import RelationVerdict
 from .verification import run_verification
 from .welfare import EVALUATORS, SwfError, SwfValue, discounted_sum
 
-DEFAULT_HORIZON = 5040
-DEFAULT_CHECKPOINT_MAX = math.factorial(10)
 SCHEMA_VERSION = "1"
 
-_USAGE_ERRORS = (DslError, GadgetError, IndexSetError, StreamError, SwfError, ValueError)
+# Matched with isinstance, so subclasses such as OverlapError keep their code.
+_ERROR_CODES = (
+    (DslError, "parse_error"),
+    (GadgetError, "gadget_error"),
+    (IndexSetError, "set_error"),
+    (StreamError, "stream_error"),
+    (SwfError, "welfare_error"),
+)
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,8 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if self.horizon > self.checkpoint_max:
             raise ValueError(
                 f"horizon {self.horizon} exceeds checkpoint-max {self.checkpoint_max}"
@@ -244,6 +251,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def run_gadget(args, config: RunConfig) -> tuple[dict, int]:
+    for flag in ("dump_prefix", "permutation_cap"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
     horizon = config.horizon
     if args.kind == "lemma1":
         return _run_threshold_gadget(args, horizon)
@@ -349,9 +360,9 @@ def _run_sequence_gadget(args, horizon: int, config: RunConfig) -> tuple[dict, i
         with open(args.dump_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x_full", "y_full", "x_sub", "y_sub"])
-            cols = [prefix(s, n) for s in (g.x_full, g.y_full, g.x_sub, g.y_sub)]
-            for t in range(1, n + 1):
-                writer.writerow([t] + [_frac(col[t - 1]) for col in cols])
+            cols = [values(s, n) for s in (g.x_full, g.y_full, g.x_sub, g.y_sub)]
+            for t, row in enumerate(zip(*cols), 1):
+                writer.writerow([t] + [_frac(q) for q in row])
     failed = any(
         link.verdict is not None and link.verdict.status.value == "fails" for link in links
     )
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--horizon", type=int, default=None,
-        help="pointwise scan horizon (default 5040; env DENSITYLAB_HORIZON)",
+        help=f"pointwise scan horizon (default {DEFAULT_HORIZON}; env DENSITYLAB_HORIZON)",
     )
     common.add_argument("--checkpoint-max", type=int, default=DEFAULT_CHECKPOINT_MAX,
                         help="largest density checkpoint (default 10!)")
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=None, help="sequence prefix, e.g. 1,2,3,4,5,6,7,8")
     p.add_argument("--case", choices=("a", "b", "c"), default="a")
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--permutation-cap", type=int, default=40320)
+    p.add_argument("--permutation-cap", type=int, default=DEFAULT_PERMUTATION_CAP)
     p.add_argument("--dump-prefix", type=int, default=None,
                    help="include the first N stream values in the report")
     p.add_argument("--dump-csv", default=None, help="write stream prefixes to a CSV file")
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_horizon(args) -> int:
-    if getattr(args, "horizon", None):
+    if getattr(args, "horizon", None) is not None:
         return args.horizon
     env = os.environ.get("DENSITYLAB_HORIZON")
     if env:
@@ -484,14 +495,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             parallelism=args.parallelism,
         )
         results, code = args.handler(args, config)
-    except _USAGE_ERRORS as e:
-        error_code = {
-            DslError: "parse_error",
-            GadgetError: "gadget_error",
-            IndexSetError: "set_error",
-            StreamError: "stream_error",
-            SwfError: "welfare_error",
-        }.get(type(e), "usage_error")
+    except ValueError as e:
+        error_code = next(
+            (code for cls, code in _ERROR_CODES if isinstance(e, cls)), "usage_error"
+        )
         json.dump({"error": {"code": error_code, "message": str(e)}}, stderr)
         stderr.write("\n")
         return 2

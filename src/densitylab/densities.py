@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .indexsets import (
+    DEFAULT_HORIZON,
     Compl,
     Diff,
     FactorialIntervals,
@@ -36,8 +37,6 @@ __all__ = [
     "UndecidedError",
     "exact_density",
     "density",
-    "lower_density",
-    "upper_density",
     "checkpoint_schedule",
     "sym_diff_finite",
     "DEFAULT_CHECKPOINT_MAX",
@@ -284,14 +283,6 @@ def density(s: IndexSet, max_checkpoint: int = DEFAULT_CHECKPOINT_MAX) -> Densit
     )
 
 
-def lower_density(s: IndexSet, max_checkpoint: int = DEFAULT_CHECKPOINT_MAX) -> DensityResult:
-    return density(s, max_checkpoint)
-
-
-def upper_density(s: IndexSet, max_checkpoint: int = DEFAULT_CHECKPOINT_MAX) -> DensityResult:
-    return density(s, max_checkpoint)
-
-
 # ---------------------------------------------------------------------------
 # Finiteness of symmetric differences
 # ---------------------------------------------------------------------------
@@ -330,7 +321,7 @@ def _strip_finite_parts(s: IndexSet) -> IndexSet:
     return s
 
 
-def sym_diff_finite(a: IndexSet, b: IndexSet, horizon: int = 5040) -> bool:
+def sym_diff_finite(a: IndexSet, b: IndexSet, horizon: int = DEFAULT_HORIZON) -> bool:
     """Decide structurally whether |A symmetric-difference B| is finite.
 
     True and False are proofs.  When neither a structural proof nor a

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import verdicts
 from .densities import contains_long_intervals, density, exact_density
 from .indexsets import (
+    NAT,
     Finite,
     Inter,
     Union,
@@ -39,7 +40,9 @@ from .streams import (
     eval_at,
     nonstrict_set,
     prefix,
+    scan_pair,
     strict_set,
+    values,
     weakly_dominates,
 )
 from .verdicts import RelationVerdict, Status
@@ -243,9 +246,10 @@ def uniform_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> R
                 if count(inter, horizon) > 0:
                     return verdicts.fails(counterexample=nth_element(inter, 1))
         return verdicts.undecided(horizon=horizon, note="zero-gap clause pair, emptiness unproven")
-    for t in range(1, horizon + 1):
-        if eval_at(x, t) == eval_at(y, t):
-            return verdicts.fails(counterexample=t)
+    # x >= y through the horizon here, so the first non-strict coordinate is a zero gap.
+    violation, _ = scan_pair(x, y, horizon, expected_strict=NAT)
+    if violation:
+        return verdicts.fails(counterexample=violation[0])
     return verdicts.undecided(horizon=horizon, note="positive gaps scanned, infimum unproven")
 
 
@@ -337,12 +341,12 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
 
 def lex_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """Strictly-above in the lexicographic order, scanning to the horizon."""
-    for t in range(1, horizon + 1):
-        xt, yt = eval_at(x, t), eval_at(y, t)
+    violation, _ = scan_pair(x, y, horizon, expected_strict=Finite(()))
+    if violation:
+        t, xt, yt = violation
         if xt > yt:
             return verdicts.holds(witness_set=Finite((t,)), note=f"first difference at t={t}")
-        if xt < yt:
-            return verdicts.fails(counterexample=t)
+        return verdicts.fails(counterexample=t)
     if x == y:
         return verdicts.fails(note="streams are structurally equal")
     return verdicts.undecided(horizon=horizon, note="no difference below the horizon")
@@ -364,13 +368,14 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
     if not isinstance(sxy, Undecided) and not isinstance(syx, Undecided):
         if _is_infinite_rich(sxy) is True or _is_infinite_rich(syx) is True:
             return False
-    xs = prefix(x, horizon)
-    ys = prefix(y, horizon)
-    diffs = [t for t in range(1, horizon + 1) if xs[t - 1] != ys[t - 1]]
-    if not diffs:
-        return True
-    w = diffs[-1]
-    return Counter(xs[:w]) == Counter(ys[:w])
+    # Equal coordinates leave the balance unchanged, so a balance that is
+    # zero at the end is zero through the last differing coordinate.
+    balance: Counter = Counter()
+    for a, b in zip(values(x, horizon), values(y, horizon)):
+        if a != b:
+            balance[a] += 1
+            balance[b] -= 1
+    return not any(balance.values())
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "format_set",
     "format_stream",
     "format_permutation",
-    "format_rational",
 ]
 
 
@@ -371,10 +370,6 @@ def format_set(s: IndexSet) -> str:
     if isinstance(s, ix.Diff):
         return f"diff({format_set(s.left)},{format_set(s.right)})"
     raise TypeError(f"not an index set: {s!r}")
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def format_stream(x: Stream) -> str:

@@ -30,6 +30,7 @@ from . import verdicts
 from .densities import DensityResult, density
 from .dominance import anonymity_equivalent
 from .indexsets import (
+    DEFAULT_HORIZON,
     Compl,
     Diff,
     FactorialIntervals,
@@ -47,6 +48,7 @@ from .streams import (
     apply_permutation,
     eval_at,
     prefix,
+    scan_pair,
 )
 from .verdicts import RelationVerdict
 
@@ -57,7 +59,6 @@ __all__ = [
     "build_threshold_gadget",
     "threshold_gadget_from_indices",
     "verify_density_one_step",
-    "verify_claimed_dominance",
     "ThresholdComparison",
     "compare_thresholds",
     "compare_threshold_gadgets",
@@ -170,7 +171,7 @@ def _scan_bound_for(horizon: int) -> int:
     return n
 
 
-def build_threshold_gadget(r, horizon: int = 5040, scan_to: int | None = None) -> ThresholdGadget:
+def build_threshold_gadget(r, horizon: int = DEFAULT_HORIZON, scan_to: int | None = None) -> ThresholdGadget:
     """Materialize the gadget for threshold r with values sound through ``horizon``."""
     r = Fraction(r)
     if not (0 < r < 1):
@@ -185,32 +186,6 @@ def build_threshold_gadget(r, horizon: int = 5040, scan_to: int | None = None) -
         n += 1
 
 
-def verify_claimed_dominance(
-    x: Stream, y: Stream, claimed: IndexSet, horizon: int
-) -> RelationVerdict:
-    """Scan that x >= y pointwise with strictness on all of ``claimed``,
-    and certify that the claimed set has exact asymptotic density one."""
-    strict_seen = 0
-    for t in range(1, horizon + 1):
-        xt, yt = eval_at(x, t), eval_at(y, t)
-        if xt < yt:
-            return verdicts.fails(counterexample=t, note="pointwise dominance fails")
-        is_strict = xt > yt
-        if member(claimed, t) and not is_strict:
-            return verdicts.fails(counterexample=t, note="claimed strict coordinate is not strict")
-        if is_strict:
-            strict_seen += 1
-    if strict_seen == 0:
-        return verdicts.fails(note="empty strict set in the scanned range")
-    cert = density(claimed)
-    if not (cert.exact and cert.lower == 1 and cert.upper == 1):
-        return verdicts.undecided(
-            horizon=horizon, note="claimed set lacks an exact density-one certificate"
-        )
-    return verdicts.holds(witness_set=claimed, witness_density=cert,
-                          note=f"{strict_seen} strict coordinates scanned")
-
-
 def verify_density_one_step(g: ThresholdGadget, horizon: int) -> RelationVerdict:
     """Verify that the upper stream dominates the lower one with strictness
     exactly on the first point plus the gap set, certified density one."""
@@ -218,17 +193,11 @@ def verify_density_one_step(g: ThresholdGadget, horizon: int) -> RelationVerdict
     first = g.first_point
     if h < first:
         return verdicts.undecided(horizon=h, note="horizon below the first strict coordinate")
-    for t in range(1, h + 1):
-        zt = eval_at(g.upper_stream, t)
-        xt = eval_at(g.lower_stream, t)
-        if zt < xt:
-            return verdicts.fails(counterexample=t, note="pointwise dominance fails")
-        expected_strict = t == first or (t > first and not member(g.point_set, t))
-        if (zt > xt) != expected_strict:
-            return verdicts.fails(
-                counterexample=t,
-                note="strict set does not match the first point plus the gaps",
-            )
+    expected = Union(Finite((first,)), g.gap_set)
+    mismatch = _scan_mismatch(g.upper_stream, g.lower_stream, h, expected,
+                              "strict set does not match the first point plus the gaps")
+    if mismatch:
+        return mismatch
     cert = density(g.gap_set)
     if not (cert.exact and cert.lower == 1 and cert.upper == 1):
         return verdicts.undecided(horizon=h, note="gap set density certificate unavailable")
@@ -254,7 +223,7 @@ class ThresholdComparison:
 
 
 def compare_threshold_gadgets(
-    g_r: ThresholdGadget, g_s: ThresholdGadget, horizon: int = 5040
+    g_r: ThresholdGadget, g_s: ThresholdGadget, horizon: int = DEFAULT_HORIZON
 ) -> ThresholdComparison:
     """Classify and verify the comparison of two threshold gadgets.
 
@@ -295,7 +264,8 @@ def compare_threshold_gadgets(
         ))
     checks.append((
         "challenger_dominates",
-        _verify_exact_strict_pattern(g_s.lower_stream, target, g_s.point_set, u2, h),
+        _scan_mismatch(g_s.lower_stream, target, h, claimed, "strict pattern mismatch")
+        or verdicts.holds(note=f"strict pattern verified through t={h}"),
     ))
     if u2 > h and u2 <= min(g_r.sound_horizon, g_s.sound_horizon):
         xt = eval_at(g_s.lower_stream, u2)
@@ -312,34 +282,34 @@ def compare_threshold_gadgets(
     )
 
 
-def _verify_exact_strict_pattern(
-    x: Stream, z: Stream, s_points: IndexSet, u2: int, h: int
-) -> RelationVerdict:
-    """Scan x >= z with strictness exactly at u2 and off s_points beyond u2."""
-    for t in range(1, h + 1):
-        xt, zt = eval_at(x, t), eval_at(z, t)
-        if xt < zt:
-            return verdicts.fails(counterexample=t, note="pointwise dominance fails")
-        expected = t == u2 or (t > u2 and not member(s_points, t))
-        if (xt > zt) != expected:
-            return verdicts.fails(counterexample=t, note="strict pattern mismatch")
-    return verdicts.holds(note=f"strict pattern verified through t={h}")
+def _scan_mismatch(
+    x: Stream, z: Stream, h: int, expected: IndexSet, mismatch: str
+) -> RelationVerdict | None:
+    """The failing verdict when x >= z with strictness exactly on ``expected``
+    breaks at some coordinate up to h, else None."""
+    violation, _ = scan_pair(x, z, h, expected_strict=expected)
+    if violation is None:
+        return None
+    t, xt, zt = violation
+    note = "pointwise dominance fails" if xt < zt else mismatch
+    return verdicts.fails(counterexample=t, note=note)
 
 
-def compare_thresholds(r, s, horizon: int = 5040) -> ThresholdComparison:
+def compare_thresholds(r, s, horizon: int = DEFAULT_HORIZON) -> ThresholdComparison:
     """Compare the canonical gadgets of two rational thresholds r < s."""
     r, s = Fraction(r), Fraction(s)
     if not (0 < r < s < 1):
         raise GadgetError(f"thresholds must satisfy 0 < r < s < 1, got r={r}, s={s}")
-    scan = _scan_bound_for(horizon)
-    found = [n for n in range(1, scan + 1) if r <= rational_enum(n) < s]
-    n = scan
-    while len(found) < 2:
+    # Both gadgets share one scan bound n, which keeps the s-gadget's indices a subset
+    # of the r-gadget's: n holds two indices separating r from s and one at or above s.
+    scan, n, separating, above = _scan_bound_for(horizon), 0, 0, False
+    while n < scan or separating < 2 or not above:
         n += 1
         if n > 100_000:
             raise GadgetError("no separating indices found below 100000")
-        if r <= rational_enum(n) < s:
-            found.append(n)
+        q = rational_enum(n)
+        separating += r <= q < s
+        above = above or q >= s
     g_r = build_threshold_gadget(r, horizon=horizon, scan_to=n)
     g_s = build_threshold_gadget(s, horizon=horizon, scan_to=n)
     return compare_threshold_gadgets(g_r, g_s, horizon=horizon)
@@ -614,18 +584,16 @@ def _rearranged_dominance(
         low2, high2 = apply_permutation(low, pi), high
     else:
         low2, high2 = low, apply_permutation(high, pi)
-    strict_seen = 0
-    for t in range(1, scan_to + 1):
-        lv, hv = eval_at(low2, t), eval_at(high2, t)
-        if lv > hv:
-            return LinkReport(
-                name=name,
-                kind="verified",
-                verdict=verdicts.fails(counterexample=t, note="dominance fails after rearrangement"),
-                permutation=pi,
-            )
-        if hv > lv:
-            strict_seen += 1
+    violation, strict_seen = scan_pair(high2, low2, scan_to)
+    if violation:
+        return LinkReport(
+            name=name,
+            kind="verified",
+            verdict=verdicts.fails(
+                counterexample=violation[0], note="dominance fails after rearrangement"
+            ),
+            permutation=pi,
+        )
     return LinkReport(
         name=name,
         kind="verified",
@@ -639,7 +607,7 @@ def _rearranged_dominance(
 
 def verify_sequence_chain(
     g: SequenceGadget,
-    horizon: int = 5040,
+    horizon: int = DEFAULT_HORIZON,
     permutation_cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> list[LinkReport]:
     """Verify every order-free link of the gadget's case chain.
@@ -653,25 +621,16 @@ def verify_sequence_chain(
     links: list[LinkReport] = []
     if g.case == "a":
         h12 = min(horizon, determined_to(g.ts), determined_to(g.sub[1:]))
-        strict_fail = None
-        strict_on_blocks = 0
-        for t in range(1, h12 + 1):
-            xt, yt = eval_at(g.x_full, t), eval_at(g.y_sub, t)
-            if xt < yt:
-                strict_fail = t
-                break
-            if member(g.set_full, t) and xt <= yt:
-                strict_fail = t
-                break
-            if member(g.set_full, t):
-                strict_on_blocks += 1
+        # Off the blocks x_full is 1, the least value of y_sub, so x_full is
+        # strict exactly on the blocks and the strict count is the block count.
+        strict_fail, strict_on_blocks = scan_pair(g.x_full, g.y_sub, h12, g.set_full)
         links.append(
             LinkReport(
                 name="y_sub_below_x_full",
                 kind="verified",
                 verdict=(
-                    verdicts.fails(counterexample=strict_fail)
-                    if strict_fail is not None
+                    verdicts.fails(counterexample=strict_fail[0])
+                    if strict_fail
                     else verdicts.holds(
                         note=f"strict on all {strict_on_blocks} scanned block coordinates through t={h12}"
                     )
@@ -681,17 +640,14 @@ def verify_sequence_chain(
         )
         links.append(LinkReport(name="x_full_below_y_full", kind="assumed"))
         heq = min(horizon, determined_to(g.ts[1:]))
-        eq_fail = next(
-            (t for t in range(1, heq + 1) if eval_at(g.y_full, t) != eval_at(g.x_sub, t)),
-            None,
-        )
+        eq_fail, _ = scan_pair(g.y_full, g.x_sub, heq, expected_strict=Finite(()))
         links.append(
             LinkReport(
                 name="y_full_equals_x_sub",
                 kind="verified",
                 verdict=(
-                    verdicts.fails(counterexample=eq_fail)
-                    if eq_fail is not None
+                    verdicts.fails(counterexample=eq_fail[0])
+                    if eq_fail
                     else verdicts.holds(note=f"coordinatewise equal through t={heq}")
                 ),
             )

@@ -52,7 +52,11 @@ __all__ = [
     "provably_disjoint",
     "finite_upper_bound",
     "inverse_factorial",
+    "DEFAULT_HORIZON",
 ]
+
+# The scan, probe and construction-check bound shared by every module.
+DEFAULT_HORIZON = 5040
 
 _FACT_ARG_CAP = 100_000
 _BLOCK_ITER_CAP = 10_000
@@ -761,7 +765,7 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     return False
 
 
-def provably_nonempty(s: IndexSet, probe: int = 5040) -> bool:
+def provably_nonempty(s: IndexSet, probe: int = DEFAULT_HORIZON) -> bool:
     """True when an element is exhibited (structurally counted) below a bound."""
     if count(s, probe) > 0:
         return True

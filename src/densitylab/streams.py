@@ -8,11 +8,14 @@ and a finitely permuted view of another stream.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import verdicts
 from .indexsets import (
+    DEFAULT_HORIZON,
     Compl,
     Finite,
     IndexSet,
@@ -37,7 +40,9 @@ __all__ = [
     "Undecided",
     "constant",
     "eval_at",
+    "values",
     "prefix",
+    "scan_pair",
     "apply_permutation",
     "strict_set",
     "nonstrict_set",
@@ -46,9 +51,6 @@ __all__ = [
     "StreamProfile",
     "DEFAULT_HORIZON",
 ]
-
-DEFAULT_HORIZON = 5040
-_CONSTRUCT_CHECK_BOUND = 5040
 
 
 class StreamError(ValueError):
@@ -81,10 +83,8 @@ class Piecewise:
                 si, sj = cl[i][0], cl[j][0]
                 if provably_disjoint(si, sj):
                     continue
-                if count(Inter(si, sj), _CONSTRUCT_CHECK_BOUND) > 0:
-                    raise OverlapError(
-                        f"clauses {i} and {j} overlap below {_CONSTRUCT_CHECK_BOUND}"
-                    )
+                if count(Inter(si, sj), DEFAULT_HORIZON) > 0:
+                    raise OverlapError(f"clauses {i} and {j} overlap below {DEFAULT_HORIZON}")
                 # Not provably disjoint but no early collision: checked lazily.
 
 
@@ -189,13 +189,7 @@ def eval_at(x: Stream, t: int) -> Fraction:
     if t < 1:
         raise StreamError(f"coordinates start at 1, got {t}")
     if isinstance(x, Piecewise):
-        hit = None
-        for i, (s, v) in enumerate(x.clauses):
-            if member(s, t):
-                if hit is not None:
-                    raise OverlapError(f"clauses {hit[0]} and {i} both contain t={t}")
-                hit = (i, v)
-        return hit[1] if hit is not None else x.default
+        return _piecewise_at(x, t)
     if isinstance(x, RankFill):
         if member(x.fill_on, t):
             return x.fill
@@ -205,19 +199,68 @@ def eval_at(x: Stream, t: int) -> Fraction:
     raise TypeError(f"not a stream: {x!r}")
 
 
-def prefix(x: Stream, n: int) -> list[Fraction]:
-    """Coordinates 1..n as a list."""
-    if isinstance(x, RankFill):
-        out = []
-        rank = 0
+def _piecewise_at(x: Piecewise, t: int) -> Fraction:
+    hit = None
+    for i, (s, v) in enumerate(x.clauses):
+        if member(s, t):
+            if hit is not None:
+                raise OverlapError(f"clauses {hit[0]} and {i} both contain t={t}")
+            hit = (i, v)
+    return hit[1] if hit is not None else x.default
+
+
+def values(x: Stream, n: int) -> Iterator[Fraction]:
+    """Coordinates 1..n, lazily and in order: the one coordinate walk.
+
+    Each value equals ``eval_at(x, t)``; a piecewise overlap raises the
+    same OverlapError at the same coordinate.  A rank-fill walk keeps a
+    running rank instead of recounting the complement at every coordinate.
+    A permuted walk buffers the base values up to the permutation's bound
+    and then follows the base walk.
+    """
+    if isinstance(x, Piecewise):
+        for t in range(1, n + 1):
+            yield _piecewise_at(x, t)
+    elif isinstance(x, RankFill):
+        rank = 1
         for t in range(1, n + 1):
             if member(x.fill_on, t):
-                out.append(x.fill)
+                yield x.fill
             else:
                 rank += 1
-                out.append(Fraction(rank + 1))
-        return out
-    return [eval_at(x, t) for t in range(1, n + 1)]
+                yield Fraction(rank)
+    elif isinstance(x, Permuted):
+        base = values(x.base, max(n, x.perm.bound))
+        head = list(islice(base, x.perm.bound))
+        yield from (head[src - 1] for src in x.perm.mapping[:max(n, 0)])
+        yield from base
+    else:
+        raise TypeError(f"not a stream: {x!r}")
+
+
+def prefix(x: Stream, n: int) -> list[Fraction]:
+    """Coordinates 1..n as a list."""
+    return list(values(x, n))
+
+
+def scan_pair(
+    x: Stream, y: Stream, h: int, expected_strict: IndexSet | None = None
+) -> tuple[tuple[int, Fraction, Fraction] | None, int]:
+    """Walk coordinates 1..h of x and y together.
+
+    Returns ``(violation, strict)``.  ``violation`` is None or
+    ``(t, x_t, y_t)`` for the first coordinate where x_t < y_t or, when
+    ``expected_strict`` is given, where x_t > y_t disagrees with membership
+    of t in that set.  ``strict`` counts the coordinates with x_t > y_t
+    before the violation (through h when there is none).
+    """
+    strict = 0
+    for t, (a, b) in enumerate(zip(values(x, h), values(y, h)), 1):
+        is_strict = a > b
+        if a < b or (expected_strict is not None and is_strict != member(expected_strict, t)):
+            return (t, a, b), strict
+        strict += is_strict
+    return None, strict
 
 
 def apply_permutation(x: Stream, perm: FinitePermutation) -> Stream:
@@ -282,7 +325,8 @@ def _region_set(x: Stream, y: Stream, pred, horizon: int):
         for p in parts[1:]:
             out = Union(out, p)
         return out
-    wits = tuple(t for t in range(1, horizon + 1) if pred(eval_at(x, t), eval_at(y, t)))
+    wits = tuple(t for t, (a, b) in enumerate(zip(values(x, horizon), values(y, horizon)), 1)
+                 if pred(a, b))
     return Undecided(witnesses=wits, horizon=horizon)
 
 
@@ -308,9 +352,9 @@ def weakly_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> Re
     proof = _weak_dominance_structural(x, y)
     if proof:
         return verdicts.holds(note=proof)
-    for t in range(1, horizon + 1):
-        if eval_at(x, t) < eval_at(y, t):
-            return verdicts.fails(counterexample=t)
+    violation, _ = scan_pair(x, y, horizon)
+    if violation:
+        return verdicts.fails(counterexample=violation[0])
     return verdicts.undecided(
         horizon=horizon, note="no counterexample scanned and no structural proof"
     )

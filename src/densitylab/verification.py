@@ -37,6 +37,7 @@ from .gadgets import (
     verify_sequence_chain,
 )
 from .indexsets import (
+    DEFAULT_HORIZON,
     ArithProg,
     Compl,
     Diff,
@@ -301,7 +302,7 @@ def check_reference_densities() -> CheckResult:
 
 
 def check_dominance_chain(rng: random.Random, pairs: int = 500,
-                          horizon: int = 5040) -> CheckResult:
+                          horizon: int = DEFAULT_HORIZON) -> CheckResult:
     violations = []
     undecided = 0
     holds_hist = {name: 0 for name in CHAIN_ORDER}
@@ -363,7 +364,7 @@ def check_cesaro_properties(rng: random.Random, trials: int = 100) -> CheckResul
     )
 
 
-def check_threshold_gadgets(horizon: int = 5040) -> CheckResult:
+def check_threshold_gadgets(horizon: int = DEFAULT_HORIZON) -> CheckResult:
     rows = []
     ok = True
 
@@ -463,7 +464,7 @@ def check_grading_windows(rng: random.Random, pairs: int = 100) -> CheckResult:
     )
 
 
-def check_sequence_chains(horizon: int = 5040) -> CheckResult:
+def check_sequence_chains(horizon: int = DEFAULT_HORIZON) -> CheckResult:
     rows = []
     ok = True
     ga = build_sequence_gadget(tuple(range(1, 8)), "a")
@@ -539,7 +540,7 @@ def check_specs(
     grading_pairs: int = 100,
     block_prefixes: int = 20,
     ratio_max: int = 12,
-    horizon: int = 5040,
+    horizon: int = DEFAULT_HORIZON,
 ) -> list[tuple]:
     """Deterministic (name, seed, kwargs) specs for the whole suite."""
     rng = random.Random(seed)
@@ -591,7 +592,7 @@ def run_verification(
     grading_pairs: int = 100,
     block_prefixes: int = 20,
     ratio_max: int = 12,
-    horizon: int = 5040,
+    horizon: int = DEFAULT_HORIZON,
     inject_failure: bool = False,
     parallelism: int = 1,
 ) -> list[CheckResult]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .densities import exact_density
 from .indexsets import Compl, is_infinite, provably_empty, provably_nonempty
@@ -20,8 +21,8 @@ from .streams import (
     RankFill,
     Stream,
     _regions,
-    eval_at,
     stream_profile,
+    values,
 )
 
 __all__ = [
@@ -91,14 +92,8 @@ def cesaro_liminf(x: Stream) -> SwfValue:
         if base.kind != "interval":
             # A finite permutation shifts partial sums by a bounded amount.
             return base
-    evidence = []
-    total = Fraction(0)
-    t = 0
-    for n in _ESTIMATE_CHECKPOINTS:
-        while t < n:
-            t += 1
-            total += eval_at(x, t)
-        evidence.append((n, total / n))
+    sums = enumerate(accumulate(values(x, _ESTIMATE_CHECKPOINTS[-1])), 1)
+    evidence = [(n, total / n) for n, total in sums if n in _ESTIMATE_CHECKPOINTS]
     tail = [avg for _, avg in evidence[len(evidence) // 2 :]]
     return SwfValue.interval(min(tail), max(tail), evidence)
 
@@ -129,9 +124,7 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
         raise SwfError("tolerance must be positive")
     p = stream_profile(x)
     if p is not None:
-        head = sum(
-            (delta ** (t - 1)) * eval_at(x, t) for t in range(1, p.start)
-        )
+        head = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, p.start - 1), 1))
         cycle = sum(
             (delta ** (p.start - 1 + i)) * p.values[(p.start + i) % p.period]
             for i in range(p.period)
@@ -147,7 +140,7 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
     while (vmax - vmin) * dn / (1 - delta) > tol:
         n += 1
         dn *= delta
-    partial = sum((delta ** (t - 1)) * eval_at(x, t) for t in range(1, n + 1))
+    partial = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, n), 1))
     tail_lo = vmin * dn / (1 - delta)
     tail_hi = vmax * dn / (1 - delta)
     return SwfValue.interval(partial + tail_lo, partial + tail_hi, evidence=((n, partial),))

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from densitylab.cli import main
 
 
@@ -157,6 +159,31 @@ def test_config_validation_exit_code():
     code, _, err = run_cli(["density", "nat", "--horizon", "100", "--checkpoint-max", "10"])
     assert code == 2
     assert "usage_error" in err
+
+
+def _error_code(err):
+    return json.loads(err.splitlines()[0])["error"]["code"]
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_horizon_below_one_rejected(horizon, monkeypatch):
+    monkeypatch.delenv("DENSITYLAB_HORIZON", raising=False)
+    code, out, err = run_cli(["compare", "--axiom", "weak", "--x", "const(1)", "--y", "const(0)",
+                              "--horizon", horizon])
+    assert code == 2 and out == "" and _error_code(err) == "usage_error"
+
+
+@pytest.mark.parametrize("flag", ["--dump-prefix", "--permutation-cap"])
+def test_negative_gadget_flags_rejected(flag):
+    code, out, err = run_cli(["gadget", "lemma2", "--t", "1,2,3,4,5,6,7,8", "--case", "b",
+                              flag, "-3"])
+    assert code == 2 and out == "" and _error_code(err) == "usage_error"
+
+
+def test_overlap_reports_stream_error():
+    code, _, err = run_cli(["compare", "--axiom", "weak", "--x",
+                            "piecewise(default=0;ap(1,2):1;ap(1,3):2)", "--y", "const(0)"])
+    assert code == 2 and _error_code(err) == "stream_error"
 
 
 def test_env_horizon_override(monkeypatch):

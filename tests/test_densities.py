@@ -9,9 +9,7 @@ from densitylab.densities import (
     checkpoint_schedule,
     contains_long_intervals,
     density,
-    lower_density,
     sym_diff_finite,
-    upper_density,
 )
 from densitylab.indexsets import (
     NAT,
@@ -116,11 +114,6 @@ def test_estimate_fallback_is_flagged():
     for n, c, ratio in d.evidence:
         assert c == count(s, n) and ratio == Fraction(c, n)
     assert 0 <= d.lower <= d.upper <= 1
-
-
-def test_lower_and_upper_views_agree():
-    s = ArithProg(2, 7)
-    assert lower_density(s) == upper_density(s) == density(s)
 
 
 def test_checkpoint_schedule_shape():

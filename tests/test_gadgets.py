@@ -19,12 +19,11 @@ from densitylab.gadgets import (
     rational_enum,
     tail_density_certificate,
     threshold_gadget_from_indices,
-    verify_claimed_dominance,
     verify_density_one_step,
     verify_sequence_chain,
 )
 from densitylab.indexsets import count, member
-from densitylab.streams import apply_permutation, eval_at, prefix
+from densitylab.streams import apply_permutation, eval_at, prefix, scan_pair
 from densitylab.verdicts import Status
 
 
@@ -100,8 +99,8 @@ def test_density_one_step_undecided_below_first_point():
 
 def test_reflexive_claim_fails():
     g = threshold_gadget_from_indices((1, 2, 3, 4, 7))
-    v = verify_claimed_dominance(g.upper_stream, g.upper_stream, g.gap_set, 500)
-    assert v.status is Status.FAILS
+    violation, strict = scan_pair(g.upper_stream, g.upper_stream, 500, g.gap_set)
+    assert violation == (3, 3, 3) and strict == 0  # 3 is the first gap coordinate
 
 
 def test_reference_instance_case_b():
@@ -145,6 +144,14 @@ def test_compare_case_b_distant_second_point():
     assert cmp_res.u2 == math.factorial(10)
     assert cmp_res.all_hold
     assert any(name == "strict_at_second_point" for name, _ in cmp_res.checks)
+
+
+def test_compare_with_s_above_every_scanned_rational():
+    # No index up to the horizon's scan bound has q_n >= 4/5, so both gadgets
+    # must be built past it, to the same bound.
+    cmp_res = compare_thresholds(Fraction(1, 3), Fraction(4, 5), horizon=40320)
+    assert cmp_res.all_hold
+    assert cmp_res.case == "a" and cmp_res.u1 == 1 and cmp_res.u2 == 2
 
 
 def test_equal_thresholds_rejected():

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from densitylab.indexsets import (
     FactorialPoints,
     Finite,
     Interval,
+    Union,
 )
 from densitylab.streams import (
     FinitePermutation,
@@ -24,10 +27,13 @@ from densitylab.streams import (
     eval_at,
     nonstrict_set,
     prefix,
+    scan_pair,
     stream_profile,
     strict_set,
+    values,
     weakly_dominates,
 )
+from densitylab.verification import membership_mask, random_chain_pair, random_periodic_set
 
 U_REF = FactorialPoints(Finite((1, 2, 3, 4, 7)))
 X_REF = RankFill(U_REF)
@@ -57,9 +63,27 @@ def test_rank_fill_rank_rule():
 
 
 def test_prefix_agrees_with_eval():
-    for x in (X_REF, Z_REF, Piecewise(2, ((ArithProg(2, 3), Fraction(9)),))):
-        values = prefix(x, 50)
-        assert values == [eval_at(x, t) for t in range(1, 51)]
+    truncated = RankFill(Compl(Interval(5, 20)), fill=Fraction(1, 2), truncated=True)
+    permuted = apply_permutation(Z_REF, FinitePermutation.cycle([2, 9, 4, 30]))
+    for x in (X_REF, Z_REF, Piecewise(2, ((ArithProg(2, 3), Fraction(9)),)), truncated,
+              permuted, apply_permutation(truncated, FinitePermutation.swap(3, 8))):
+        expected = [eval_at(x, t) for t in range(1, 51)]
+        assert prefix(x, 50) == list(values(x, 50)) == expected
+        assert prefix(x, 7) == expected[:7]  # a walk that stops inside the bound
+
+
+def test_walk_raises_overlap_where_eval_does():
+    # The clauses pass the construction check and first collide at 8! = 40320.
+    x = Piecewise(0, ((FactorialPoints(ArithProg(8, 2)), Fraction(1)),
+                      (FactorialPoints(ArithProg(8, 3)), Fraction(2))))
+    with pytest.raises(OverlapError) as from_eval:
+        eval_at(x, 40320)
+    walked = 0
+    with pytest.raises(OverlapError) as from_walk:
+        for _ in values(x, 50000):
+            walked += 1
+    assert walked == 40319
+    assert str(from_walk.value) == str(from_eval.value)
 
 
 def test_rank_fill_needs_infinite_ranks():
@@ -192,3 +216,57 @@ def test_permuted_prefix_is_rearrangement(i, j):
     base = prefix(Z_REF, n)
     moved = prefix(apply_permutation(Z_REF, p), n)
     assert sorted(base) == sorted(moved)
+
+
+def _brute_values(x, n):
+    """Coordinates 1..n from the vectorized membership oracle."""
+    if isinstance(x, Piecewise):
+        vals = [x.default] * n
+        for s, v in x.clauses:
+            for i in np.flatnonzero(membership_mask(s, n)):
+                vals[i] = v
+        return vals
+    fill = membership_mask(x.fill_on, n)
+    ranks = np.cumsum(~fill) + 1
+    return [x.fill if f else Fraction(int(r)) for f, r in zip(fill, ranks)]
+
+
+def _brute_scan(x, y, n, expected):
+    xs, ys = _brute_values(x, n), _brute_values(y, n)
+    want = membership_mask(expected, n) if expected is not None else None
+    strict = 0
+    for t, (a, b) in enumerate(zip(xs, ys), 1):
+        if a < b or (want is not None and (a > b) != bool(want[t - 1])):
+            return (t, a, b), strict
+        strict += a > b
+    return None, strict
+
+
+def _rank_fill_pair(rng):
+    def fill_set():
+        return rng.choice([
+            FactorialPoints(Finite(tuple(sorted(rng.sample(range(1, 7), rng.randint(1, 4)))))),
+            ArithProg(rng.randint(1, 5), rng.randint(2, 5)),
+            Finite(tuple(sorted(rng.sample(range(1, 60), rng.randint(0, 6))))),
+        ])
+    return RankFill(fill_set(), rng.choice([1, 2, Fraction(5, 2)])), RankFill(fill_set())
+
+
+def test_scan_pair_matches_membership_oracle():
+    rng = random.Random(41)
+    n = 400
+    for k in range(120):
+        x, y = random_chain_pair(rng) if k % 2 else _rank_fill_pair(rng)
+        if rng.random() < 0.5:
+            x, y = y, x
+        expected = rng.choice([None, random_periodic_set(rng), Compl(Finite(())), Finite(())])
+        assert scan_pair(x, y, n, expected) == _brute_scan(x, y, n, expected)
+
+
+def test_scan_pair_on_gadget_pair():
+    # Z_REF exceeds X_REF exactly at the first point and off the point set.
+    expected = Union(Finite((1,)), Diff(Compl(U_REF), Interval(1, 1)))
+    violation, strict = scan_pair(Z_REF, X_REF, 5040, expected)
+    assert violation is None and strict == 5040 - 4
+    assert _brute_scan(Z_REF, X_REF, 5040, expected) == (None, strict)
+    assert scan_pair(X_REF, Z_REF, 5040) == ((1, 1, 2), 0)

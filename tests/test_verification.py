@@ -1,5 +1,8 @@
 import random
+import re
+from pathlib import Path
 
+import densitylab
 from densitylab.indexsets import member
 from densitylab.verification import (
     CHECK_NAMES,
@@ -57,3 +60,13 @@ def test_injected_failure_appended():
     )
     assert results[-1].name == "injected_failure" and not results[-1].passed
     assert all(r.passed for r in results[:-1])
+
+
+def test_oracle_stays_out_of_the_production_path():
+    # The brute-force oracle checks the structural code; only verification
+    # may call it, or the checks would compare the code with itself.
+    pattern = re.compile(r"\b(membership_mask|brute_force_grading)\b")
+    package = Path(densitylab.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py")
+                   if p.name != "verification.py" and pattern.search(p.read_text()))
+    assert users == []
