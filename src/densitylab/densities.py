@@ -26,8 +26,8 @@ from .indexsets import (
     Inter,
     Union,
     count,
+    elements_up_to,
     is_finite,
-    member,
     periodic_profile,
     provably_disjoint,
 )
@@ -344,7 +344,7 @@ def sym_diff_finite(a: IndexSet, b: IndexSet, horizon: int = DEFAULT_HORIZON) ->
     db = exact_density(b)
     if da is not None and db is not None and da != db:
         return False
-    witnesses = tuple(t for t in range(1, horizon + 1) if member(a, t) != member(b, t))
+    witnesses = tuple(elements_up_to(Union(Diff(a, b), Diff(b, a)), horizon))
     raise UndecidedError(
         f"symmetric difference not structurally decidable; "
         f"{len(witnesses)} differing coordinates up to {horizon}",

@@ -18,6 +18,7 @@ from . import verdicts
 from .densities import contains_long_intervals, density, exact_density
 from .indexsets import (
     NAT,
+    Diff,
     Finite,
     Inter,
     Union,
@@ -34,15 +35,16 @@ from .indexsets import (
 from .streams import (
     DEFAULT_HORIZON,
     Piecewise,
+    RankFill,
     Stream,
     Undecided,
     _regions,
     eval_at,
     nonstrict_set,
+    pair_runs,
     prefix,
     scan_pair,
     strict_set,
-    values,
     weakly_dominates,
 )
 from .verdicts import RelationVerdict, Status
@@ -363,19 +365,42 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
     """
     if x == y:
         return True
+    if isinstance(x, RankFill) and isinstance(y, RankFill):
+        # Off V, y_t is a strictly increasing rank, so it differs from x's fill
+        # at all but one coordinate of U \ V; and symmetrically.
+        u, v = x.fill_on, y.fill_on
+        if is_finite(Diff(u, v)) is False or is_finite(Diff(v, u)) is False:
+            return False
     sxy = strict_set(x, y, horizon)
     syx = strict_set(y, x, horizon)
     if not isinstance(sxy, Undecided) and not isinstance(syx, Undecided):
         if _is_infinite_rich(sxy) is True or _is_infinite_rich(syx) is True:
             return False
-    # Equal coordinates leave the balance unchanged, so a balance that is
-    # zero at the end is zero through the last differing coordinate.
-    balance: Counter = Counter()
-    for a, b in zip(values(x, horizon), values(y, horizon)):
-        if a != b:
-            balance[a] += 1
-            balance[b] -= 1
-    return not any(balance.values())
+    # The balance is the value histogram of x minus that of y through the
+    # horizon: equal coordinates cancel, so it is zero exactly when the
+    # values at differing coordinates balance.  A constant piece adds its
+    # length at one value; a rank piece adds one across a range of values.
+    points: Counter = Counter()
+    ranks: Counter = Counter()
+    for lo, hi, a, sa, b, sb, _ in pair_runs(x, y, horizon):
+        length = hi - lo + 1
+        for v, slope, sign in ((a, sa, 1), (b, sb, -1)):
+            if slope:
+                ranks[v] += sign
+                ranks[v + length] -= sign
+            else:
+                points[v] += sign * length
+    distinct = len(points)
+    cover, prev = 0, None
+    for v in sorted(ranks):
+        if cover:
+            if v - prev > distinct:
+                return False  # some value in [prev, v) has no constant mass to cancel
+            for u in range(prev.numerator, v.numerator):
+                points[u] += cover
+        cover += ranks[v]
+        prev = v
+    return not any(points.values())
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .indexsets import (
     IndexSet,
     Interval,
     Union,
-    member,
+    elements_up_to,
 )
 from .streams import (
     FinitePermutation,
@@ -78,6 +78,8 @@ __all__ = [
 ]
 
 DEFAULT_PERMUTATION_CAP = 40320
+# The largest enumeration index a threshold gadget or comparison scans.
+INDEX_SCAN_CAP = 100_000
 
 
 class GadgetError(ValueError):
@@ -176,14 +178,19 @@ def build_threshold_gadget(r, horizon: int = DEFAULT_HORIZON, scan_to: int | Non
     r = Fraction(r)
     if not (0 < r < 1):
         raise GadgetError(f"threshold must lie in (0, 1), got {r}")
-    n = scan_to if scan_to is not None else _scan_bound_for(horizon)
-    while True:
-        idx = _qualifying_indices(r, n)
-        if idx and math.factorial(n + 1) - 1 >= horizon:
-            return threshold_gadget_from_indices(
-                idx, threshold=r, sound_horizon=math.factorial(n + 1) - 1
-            )
+    # The scan bound is the least n with (n+1)! - 1 >= horizon, or scan_to if larger,
+    # extended until some index qualifies.
+    n = max(scan_to or 0, _scan_bound_for(horizon))
+    idx = list(_qualifying_indices(r, n))
+    while not idx:
         n += 1
+        if n > INDEX_SCAN_CAP:
+            raise GadgetError(f"no index n with q_n >= {r} found below {INDEX_SCAN_CAP}")
+        if rational_enum(n) >= r:
+            idx.append(n)
+    return threshold_gadget_from_indices(
+        idx, threshold=r, sound_horizon=math.factorial(n + 1) - 1
+    )
 
 
 def verify_density_one_step(g: ThresholdGadget, horizon: int) -> RelationVerdict:
@@ -253,7 +260,7 @@ def compare_threshold_gadgets(
     else:
         case = "b"
         first = g_r.first_point
-        between = [t for t in range(first, u1 + 1) if not member(g_r.point_set, t)]
+        between = [t for t in elements_up_to(g_r.complement_set, u1) if t >= first]
         pi = FinitePermutation.cycle([first, u1] + list(reversed(between)), bound=u1)
         target = apply_permutation(g_r.upper_stream, pi)
         checks.append((
@@ -305,8 +312,8 @@ def compare_thresholds(r, s, horizon: int = DEFAULT_HORIZON) -> ThresholdCompari
     scan, n, separating, above = _scan_bound_for(horizon), 0, 0, False
     while n < scan or separating < 2 or not above:
         n += 1
-        if n > 100_000:
-            raise GadgetError("no separating indices found below 100000")
+        if n > INDEX_SCAN_CAP:
+            raise GadgetError(f"no separating indices found below {INDEX_SCAN_CAP}")
         q = rational_enum(n)
         separating += r <= q < s
         above = above or q >= s

@@ -9,8 +9,10 @@ counted by inclusion-exclusion and interval restriction.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +44,8 @@ __all__ = [
     "member",
     "nth_element",
     "elements_up_to",
+    "intervals",
+    "segments",
     "eval_bound",
     "bound_uses_var",
     "periodic_profile",
@@ -550,7 +554,111 @@ def nth_element(s: IndexSet, m: int) -> int:
 
 def elements_up_to(s: IndexSet, n: int) -> list[int]:
     """All elements of s in [1, n], in increasing order."""
-    return [t for t in range(1, n + 1) if member(s, t)]
+    return [t for lo, hi, inside in segments(s, n) if inside for t in range(lo, hi + 1)]
+
+
+def segments(s: IndexSet, n: int) -> Iterator[tuple[int, int, bool]]:
+    """``(lo, hi, inside)`` covering 1..n in order: the runs of s and the gaps.
+
+    When ``intervals`` cannot enumerate s to n, the segments are single
+    coordinates decided lazily by ``member``, so an IndexSetError comes at
+    the coordinate where ``member`` raises, and not at all when the caller
+    stops earlier: ``intervals`` evaluates bounds that ``member`` may never
+    reach.
+    """
+    try:
+        runs = intervals(s, n)
+    except IndexSetError:
+        yield from ((t, t, member(s, t)) for t in range(1, n + 1))
+        return
+    cur = 1
+    for lo, hi in runs:
+        if lo > cur:
+            yield cur, lo - 1, False
+        yield lo, hi, True
+        cur = hi + 1
+    if cur <= n:
+        yield cur, n, False
+
+
+def intervals(s: IndexSet, n: int) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi] of s within [1, n], in increasing order.
+
+    Atoms give their runs directly (an arithmetic progression with d > 1 one
+    run per element); boolean nodes merge their children's sorted runs in
+    linear time.  Raises IndexSetError when a bound below n cannot be
+    evaluated, for example past a block pattern's cap, even where ``member``
+    would stop before reaching it.
+    """
+    if n < 1:
+        return []
+    if isinstance(s, Finite):
+        return _coalesce((e, e) for e in s.elements[: bisect_right(s.elements, n)])
+    if isinstance(s, ArithProg):
+        if s.a > n:
+            return []
+        return [(s.a, n)] if s.d == 1 else [(t, t) for t in range(s.a, n + 1, s.d)]
+    if isinstance(s, Interval):
+        return [(s.lo, min(s.hi, n))] if s.lo <= n else []
+    if isinstance(s, FactorialPoints):
+        points = []
+        j, f = 1, 1
+        while f <= n:
+            if member(s.base, j):
+                points.append((f, f))
+            j += 1
+            f *= j
+        return _coalesce(points)
+    if isinstance(s, FactorialIntervals):
+        return _coalesce((lo, min(hi, n)) for lo, hi in _blocks_up_to(s, n))
+    if isinstance(s, Compl):
+        return _complement(intervals(s.arg, n), n)
+    if isinstance(s, Union):
+        return _coalesce(heapq.merge(intervals(s.left, n), intervals(s.right, n)))
+    if isinstance(s, Inter):
+        return _intersect(intervals(s.left, n), intervals(s.right, n))
+    if isinstance(s, Diff):
+        return _intersect(intervals(s.left, n), _complement(intervals(s.right, n), n))
+    raise TypeError(f"not an index set: {s!r}")
+
+
+def _coalesce(runs) -> list[tuple[int, int]]:
+    """Merge runs sorted by lo where they overlap or touch."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in runs:
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _complement(runs: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    out = []
+    cur = 1
+    for lo, hi in runs:
+        if lo > cur:
+            out.append((cur, lo - 1))
+        cur = hi + 1
+    if cur <= n:
+        out.append((cur, n))
+    return out
+
+
+def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ and a finitely permuted view of another stream.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, repeat, starmap
 
 from . import verdicts
 from .indexsets import (
@@ -19,6 +20,7 @@ from .indexsets import (
     Compl,
     Finite,
     IndexSet,
+    IndexSetError,
     Inter,
     Union,
     count,
@@ -26,6 +28,7 @@ from .indexsets import (
     member,
     periodic_profile,
     provably_disjoint,
+    segments,
 )
 from .verdicts import RelationVerdict
 
@@ -40,8 +43,10 @@ __all__ = [
     "Undecided",
     "constant",
     "eval_at",
+    "runs",
     "values",
     "prefix",
+    "pair_runs",
     "scan_pair",
     "apply_permutation",
     "strict_set",
@@ -209,38 +214,138 @@ def _piecewise_at(x: Piecewise, t: int) -> Fraction:
     return hit[1] if hit is not None else x.default
 
 
-def values(x: Stream, n: int) -> Iterator[Fraction]:
-    """Coordinates 1..n, lazily and in order: the one coordinate walk.
+Run = tuple[int, int, Fraction, int]
 
-    Each value equals ``eval_at(x, t)``; a piecewise overlap raises the
-    same OverlapError at the same coordinate.  A rank-fill walk keeps a
-    running rank instead of recounting the complement at every coordinate.
-    A permuted walk buffers the base values up to the permutation's bound
-    and then follows the base walk.
+
+def runs(x: Stream, n: int) -> Iterator[Run]:
+    """Coordinates 1..n as runs ``(lo, hi, v, slope)``: the one walk.
+
+    On a run the value at t is v + slope * (t - lo), with slope 0 (a
+    constant) or 1 (consecutive ranks).  Runs come in order, cover 1..n
+    and are built lazily from the ``segments`` of the stream's sets.  Every
+    value equals ``eval_at(x, t)``: a piecewise overlap raises eval_at's
+    OverlapError at the first shared coordinate, and a set that
+    ``intervals`` cannot enumerate is walked by ``member``, one coordinate
+    per run, so its IndexSetError comes at the first coordinate whose
+    membership cannot be decided, and not at all when the walk stops
+    earlier.  A permuted walk buffers the base values up to the
+    permutation's bound, emits them as unit runs, then follows the base.
     """
     if isinstance(x, Piecewise):
-        for t in range(1, n + 1):
-            yield _piecewise_at(x, t)
+        yield from _piecewise_runs(x, n)
     elif isinstance(x, RankFill):
-        rank = 1
-        for t in range(1, n + 1):
-            if member(x.fill_on, t):
-                yield x.fill
+        rank = 2
+        for lo, hi, inside in segments(x.fill_on, n):
+            if inside:
+                yield lo, hi, x.fill, 0
             else:
-                rank += 1
-                yield Fraction(rank)
+                yield lo, hi, Fraction(rank), 1
+                rank += hi - lo + 1
     elif isinstance(x, Permuted):
-        base = values(x.base, max(n, x.perm.bound))
-        head = list(islice(base, x.perm.bound))
-        yield from (head[src - 1] for src in x.perm.mapping[:max(n, 0)])
-        yield from base
+        bound = x.perm.bound
+        base = runs(x.base, max(n, bound))
+        head: list[Fraction] = []
+        rest = None
+        for lo, hi, v, slope in base:
+            if hi > bound:
+                if lo <= bound:
+                    head.extend(_expand(lo, bound, v, slope))
+                    v, lo = v + slope * (bound + 1 - lo), bound + 1
+                rest = (lo, hi, v, slope)
+                break
+            head.extend(_expand(lo, hi, v, slope))
+        for t, src in enumerate(x.perm.mapping[: max(n, 0)], 1):
+            yield t, t, head[src - 1], 0
+        if rest is not None:
+            yield rest
+            yield from base
     else:
         raise TypeError(f"not a stream: {x!r}")
+
+
+def _piecewise_runs(x: Piecewise, n: int) -> Iterator[Run]:
+    segs = [segments(s, n) for s, _ in x.clauses]
+    cur = [(0, 0, False)] * len(segs)
+    t = 1
+    while t <= n:
+        try:
+            cur = [c if c[1] >= t else next(it) for c, it in zip(cur, segs)]
+        except IndexSetError:
+            _piecewise_at(x, t)  # eval_at's error at t: an overlap may come first
+            raise
+        hits = [i for i, c in enumerate(cur) if c[2]]
+        if len(hits) > 1:
+            _piecewise_at(x, t)  # raises the OverlapError eval_at raises at t
+            raise OverlapError(f"clauses {hits[0]} and {hits[1]} both contain t={t}")
+        hi = min((c[1] for c in cur), default=n)
+        yield t, hi, x.clauses[hits[0]][1] if hits else x.default, 0
+        t = hi + 1
+
+
+def _expand(lo: int, hi: int, v: Fraction, slope: int) -> Iterator[Fraction]:
+    if slope == 0:
+        return repeat(v, hi - lo + 1)
+    return map(Fraction, range(v.numerator, v.numerator + hi - lo + 1))
+
+
+def values(x: Stream, n: int) -> Iterator[Fraction]:
+    """Coordinates 1..n, lazily and in order: the runs of ``runs`` expanded."""
+    return chain.from_iterable(starmap(_expand, runs(x, n)))
 
 
 def prefix(x: Stream, n: int) -> list[Fraction]:
     """Coordinates 1..n as a list."""
     return list(values(x, n))
+
+
+Piece = tuple[int, int, Fraction, int, Fraction, int, bool | None]
+
+
+def pair_runs(
+    x: Stream, y: Stream, n: int, expected: IndexSet | None = None
+) -> Iterator[Piece]:
+    """The runs of x and y merged: pieces ``(lo, hi, a, sa, b, sb, inside)``.
+
+    On a piece x_t = a + sa * (t - lo) and y_t = b + sb * (t - lo);
+    ``inside`` says whether the piece lies in ``expected`` (None without
+    one).  At each coordinate x is walked before y, as a zip of the two
+    walks would.
+    """
+    xs, ys = runs(x, n), runs(y, n)
+    es = segments(expected, n) if expected is not None else None
+    rx = ry = (0, 0, Fraction(0), 0)
+    re = (0, n if es is None else 0, None)
+    t = 1
+    while t <= n:
+        if rx[1] < t:
+            rx = next(xs)
+        if ry[1] < t:
+            ry = next(ys)
+        if re[1] < t:
+            re = next(es)
+        hi = min(rx[1], ry[1], re[1])
+        a = rx[2] + (t - rx[0]) if rx[3] else rx[2]
+        b = ry[2] + (t - ry[0]) if ry[3] else ry[2]
+        yield t, hi, a, rx[3], b, ry[3], re[2]
+        t = hi + 1
+
+
+def _sign_runs(d: Fraction, k: int, length: int) -> list[tuple[int, int, int]]:
+    """``(j0, j1, sign)`` in increasing j: the ranges of [0, length) on which
+    d + k*j is negative (-1), zero (0) or positive (1), for k in {-1, 0, 1}."""
+    if k == 0:
+        return [(0, length, (d > 0) - (d < 0))]
+    root = -d * k  # d + k*j == 0 at j = root
+    below = min(length, max(0, math.ceil(root)))
+    above = min(length, max(0, math.floor(root) + 1))
+    out = []
+    if below > 0:
+        out.append((0, below, -k))
+    if above > below:
+        out.append((below, above, 0))
+    if above < length:
+        out.append((above, length, k))
+    return out
 
 
 def scan_pair(
@@ -252,14 +357,16 @@ def scan_pair(
     ``(t, x_t, y_t)`` for the first coordinate where x_t < y_t or, when
     ``expected_strict`` is given, where x_t > y_t disagrees with membership
     of t in that set.  ``strict`` counts the coordinates with x_t > y_t
-    before the violation (through h when there is none).
+    before the violation (through h when there is none).  Each piece of
+    ``pair_runs`` is decided in closed form.
     """
     strict = 0
-    for t, (a, b) in enumerate(zip(values(x, h), values(y, h)), 1):
-        is_strict = a > b
-        if a < b or (expected_strict is not None and is_strict != member(expected_strict, t)):
-            return (t, a, b), strict
-        strict += is_strict
+    for lo, hi, a, sa, b, sb, inside in pair_runs(x, y, h, expected_strict):
+        for j0, j1, sign in _sign_runs(a - b, sa - sb, hi - lo + 1):
+            if sign < 0 or (inside is not None and (sign > 0) != inside):
+                return (lo + j0, a + sa * j0, b + sb * j0), strict
+            if sign > 0:
+                strict += j1 - j0
     return None, strict
 
 
@@ -325,9 +432,14 @@ def _region_set(x: Stream, y: Stream, pred, horizon: int):
         for p in parts[1:]:
             out = Union(out, p)
         return out
-    wits = tuple(t for t, (a, b) in enumerate(zip(values(x, horizon), values(y, horizon)), 1)
-                 if pred(a, b))
-    return Undecided(witnesses=wits, horizon=horizon)
+    # pred depends only on the sign of x_t - y_t, so one coordinate decides each range.
+    wits = [
+        range(lo + j0, lo + j1)
+        for lo, hi, a, sa, b, sb, _ in pair_runs(x, y, horizon)
+        for j0, j1, _ in _sign_runs(a - b, sa - sb, hi - lo + 1)
+        if pred(a + sa * j0, b + sb * j0)
+    ]
+    return Undecided(witnesses=tuple(chain.from_iterable(wits)), horizon=horizon)
 
 
 def strict_set(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON):
@@ -394,8 +506,6 @@ class StreamProfile:
 
 def stream_profile(x: Stream) -> StreamProfile | None:
     """An eventually-periodic description of x, when derivable."""
-    import math as _math
-
     if isinstance(x, Piecewise):
         profiles = []
         for s, v in x.clauses:
@@ -406,7 +516,7 @@ def stream_profile(x: Stream) -> StreamProfile | None:
         period = 1
         start = 1
         for p, _ in profiles:
-            period = _math.lcm(period, p.period)
+            period = math.lcm(period, p.period)
             start = max(start, p.start)
         values = []
         for r in range(period):

@@ -12,8 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import indexsets as ix
 from .densities import density, sym_diff_finite
@@ -54,6 +53,9 @@ from .streams import FinitePermutation, Piecewise, apply_permutation, eval_at, p
 from .verdicts import Status
 from .welfare import cesaro_liminf
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "CheckResult",
     "membership_mask",
@@ -81,7 +83,8 @@ class CheckResult:
 
 def membership_mask(s: IndexSet, n: int) -> np.ndarray:
     """Boolean membership of 1..n by definitional semantics, vectorized."""
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    import numpy as np  # here, so that importing the CLI does not load numpy
+
     if isinstance(s, Finite):
         mask = np.zeros(n, dtype=bool)
         for e in s.elements:
@@ -89,8 +92,10 @@ def membership_mask(s: IndexSet, n: int) -> np.ndarray:
                 mask[e - 1] = True
         return mask
     if isinstance(s, ArithProg):
+        idx = np.arange(1, n + 1, dtype=np.int64)
         return (idx >= s.a) & ((idx - s.a) % s.d == 0)
     if isinstance(s, Interval):
+        idx = np.arange(1, n + 1, dtype=np.int64)
         return (idx >= s.lo) & (idx <= s.hi)
     if isinstance(s, FactorialPoints):
         mask = np.zeros(n, dtype=bool)

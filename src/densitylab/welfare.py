@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .densities import exact_density
 from .indexsets import Compl, is_infinite, provably_empty, provably_nonempty
@@ -21,6 +20,7 @@ from .streams import (
     RankFill,
     Stream,
     _regions,
+    runs,
     stream_profile,
     values,
 )
@@ -92,10 +92,21 @@ def cesaro_liminf(x: Stream) -> SwfValue:
         if base.kind != "interval":
             # A finite permutation shifts partial sums by a bounded amount.
             return base
-    sums = enumerate(accumulate(values(x, _ESTIMATE_CHECKPOINTS[-1])), 1)
-    evidence = [(n, total / n) for n, total in sums if n in _ESTIMATE_CHECKPOINTS]
+    # Partial sums at the checkpoints, an arithmetic series per run.
+    evidence = []
+    total = Fraction(0)
+    for lo, hi, v, slope in runs(x, _ESTIMATE_CHECKPOINTS[-1]):
+        for c in _ESTIMATE_CHECKPOINTS:
+            if lo <= c <= hi:
+                evidence.append((c, (total + _run_sum(v, slope, c - lo + 1)) / c))
+        total += _run_sum(v, slope, hi - lo + 1)
     tail = [avg for _, avg in evidence[len(evidence) // 2 :]]
     return SwfValue.interval(min(tail), max(tail), evidence)
+
+
+def _run_sum(v: Fraction, slope: int, m: int) -> Fraction:
+    """The sum of the first m values of a run starting at v."""
+    return m * v + slope * m * (m - 1) // 2
 
 
 def _value_bounds(x: Stream):

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +77,13 @@ def test_compare_anonymity():
         ["compare", "--axiom", "anonymity", "--x", "const(1)", "--y", "const(1)"]
     )
     assert code == 0 and report["results"]["equivalent"] is True
+
+
+def test_anonymity_rank_fills_with_infinite_difference():
+    # The fills differ on every coordinate; the value balance at the horizon cancels.
+    code, report, _ = run_json(["compare", "--axiom", "anonymity", "--x", "rankfill(ap(1,2))",
+                                "--y", "rankfill(ap(2,2))"])
+    assert code == 0 and report["results"]["equivalent"] is False
 
 
 def test_swf_cesaro():
@@ -180,6 +188,14 @@ def test_negative_gadget_flags_rejected(flag):
     assert code == 2 and out == "" and _error_code(err) == "usage_error"
 
 
+def test_unreachable_threshold_ends_with_gadget_error():
+    # The first index with q_n >= 99/100 lies past 2**98.
+    start = time.perf_counter()
+    code, out, err = run_cli(["gadget", "lemma1", "--r", "99/100", "--horizon", "5040"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and _error_code(err) == "gadget_error"
+
+
 def test_overlap_reports_stream_error():
     code, _, err = run_cli(["compare", "--axiom", "weak", "--x",
                             "piecewise(default=0;ap(1,2):1;ap(1,3):2)", "--y", "const(0)"])
@@ -243,6 +259,11 @@ def test_timing_goes_to_stderr_not_stdout():
     assert code == 0
     assert "completed in" in err
     assert json.loads(out)["timing"] is None
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, densitylab.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 def test_module_entry_point():

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from densitylab.indexsets import (
     count,
     elements_up_to,
     finite_upper_bound,
+    intervals,
     is_finite,
     is_infinite,
     member,
@@ -29,6 +32,9 @@ from densitylab.indexsets import (
     provably_empty,
     provably_nonempty,
 )
+
+from densitylab.dsl import parse_set
+from densitylab.verification import membership_mask, random_decidable_set
 
 FACTS = FactorialPoints(NAT)
 
@@ -211,3 +217,39 @@ def test_count_large_checkpoint_is_closed_form():
     assert count(s, n) == n // 2 + sum(
         1 for k in range(1, 20) if math.factorial(k) <= n and math.factorial(k) % 2 == 0
     )
+
+
+# -- runs --------------------------------------------------------------------
+
+RUN_FAMILIES = tuple(parse_set(text) for text in (
+    "fintervals[((2k-1)!,(2k)!)]",
+    "fintervals[(25,115);((2k-1)!,(2k)!)@3]",
+    "fintervals[(3,9);(5!-5!/4!,5!);((2k)!+1,(2k+1)!-(2k+1)!/(2k)!)@3]",
+    "compl(fintervals[((2k-1)!,(2k)!)])",
+    "factorials(nat)",
+    "factorials(finite{1,2,3,4,7})",
+    "compl(factorials(ap(1,2)))",
+    "union(factorials(finite{1,2,3,9}),finite{17,18,19})",
+    "diff(compl(factorials(nat)),interval(1,24))",
+))
+
+
+@pytest.mark.parametrize("n", [1, 7, 120, 5040, 40320])
+def test_intervals_match_membership_oracle(n):
+    rng = random.Random(n)
+    for s in [random_decidable_set(rng) for _ in range(40)] + list(RUN_FAMILIES):
+        runs = intervals(s, n)
+        assert all(1 <= lo <= hi <= n for lo, hi in runs)
+        assert all(hi + 1 < nxt for (_, hi), (nxt, _) in zip(runs, runs[1:])), "runs are maximal"
+        mask = np.zeros(n, dtype=bool)
+        for lo, hi in runs:
+            mask[lo - 1 : hi] = True
+        assert (mask == membership_mask(s, n)).all(), s
+
+
+def test_elements_fall_back_to_member_past_the_block_cap():
+    capped = parse_set("fintervals[(2k,2k+1)]")  # more than 10,000 blocks below 20002
+    with pytest.raises(IndexSetError):
+        intervals(capped, 30000)
+    assert elements_up_to(Inter(Finite(()), capped), 30000) == []
+    assert elements_up_to(capped, 9) == [2, 3, 4, 5, 6, 7, 8, 9]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,11 @@ from densitylab.indexsets import (
     Diff,
     FactorialPoints,
     Finite,
+    IndexSetError,
     Interval,
     Union,
+    is_finite,
+    member,
 )
 from densitylab.streams import (
     FinitePermutation,
@@ -26,6 +30,7 @@ from densitylab.streams import (
     constant,
     eval_at,
     nonstrict_set,
+    pair_runs,
     prefix,
     scan_pair,
     stream_profile,
@@ -33,7 +38,15 @@ from densitylab.streams import (
     values,
     weakly_dominates,
 )
-from densitylab.verification import membership_mask, random_chain_pair, random_periodic_set
+from densitylab.dominance import anonymity_equivalent
+from densitylab.dsl import parse_set
+from densitylab.verification import (
+    membership_mask,
+    random_chain_pair,
+    random_decidable_set,
+    random_periodic_set,
+)
+from densitylab.welfare import cesaro_liminf
 
 U_REF = FactorialPoints(Finite((1, 2, 3, 4, 7)))
 X_REF = RankFill(U_REF)
@@ -270,3 +283,119 @@ def test_scan_pair_on_gadget_pair():
     assert violation is None and strict == 5040 - 4
     assert _brute_scan(Z_REF, X_REF, 5040, expected) == (None, strict)
     assert scan_pair(X_REF, Z_REF, 5040) == ((1, 1, 2), 0)
+
+
+# -- the run walk against a per-coordinate reference on eval_at ----------------
+
+
+def _ref_values(x, n):
+    return [eval_at(x, t) for t in range(1, n + 1)]
+
+
+def _ref_scan(xs, ys, expected=None):
+    strict = 0
+    for t, a, b in zip(range(1, len(xs) + 1), xs, ys):
+        if a < b or (expected is not None and (a > b) != member(expected, t)):
+            return (t, a, b), strict
+        strict += a > b
+    return None, strict
+
+
+def _ref_balanced(xs, ys):
+    balance = Counter()
+    for a, b in zip(xs, ys):
+        if a != b:
+            balance[a] += 1
+            balance[b] -= 1
+    return not any(balance.values())
+
+
+def _walk_pair(rng, k):
+    kind = k % 3
+    if kind == 0:
+        x, y = random_chain_pair(rng)
+    else:
+        x, y = _rank_fill_pair(rng)
+        if rng.random() < 0.5:  # a finite difference of fill sets
+            y = RankFill(Union(x.fill_on, Finite((rng.randint(1, 90),))), rng.choice([1, 2]))
+    if kind == 2 or rng.random() < 0.2:
+        x = apply_permutation(x, FinitePermutation.cycle(sorted(rng.sample(range(1, 80), 4))))
+    return (x, y) if rng.random() < 0.5 else (y, x)
+
+
+def test_run_walk_matches_per_coordinate_reference():
+    rng = random.Random(14)
+    n = 240
+    slopes = set()
+    for k in range(60):
+        x, y = _walk_pair(rng, k)
+        xs, ys = _ref_values(x, n), _ref_values(y, n)
+        slopes |= {sa - sb for _, _, _, sa, _, sb, _ in pair_runs(x, y, n)}
+        assert prefix(x, n) == xs and prefix(y, n) == ys
+        expected = rng.choice([random_periodic_set(rng), random_decidable_set(rng, 2),
+                               Compl(Finite(())), Finite(())])
+        assert scan_pair(x, y, n) == _ref_scan(xs, ys)
+        assert scan_pair(x, y, n, expected) == _ref_scan(xs, ys, expected)
+        for region, pred in ((strict_set, lambda a, b: a > b), (nonstrict_set, lambda a, b: a <= b)):
+            r = region(x, y, n)
+            if isinstance(r, Undecided):
+                assert r.witnesses == tuple(t for t, a, b in zip(range(1, n + 1), xs, ys)
+                                            if pred(a, b))
+        rank_pair = isinstance(x, RankFill) and isinstance(y, RankFill)
+        structural = (isinstance(x, Piecewise) and isinstance(y, Piecewise)) or rank_pair and (
+            is_finite(Diff(x.fill_on, y.fill_on)) is False
+            or is_finite(Diff(y.fill_on, x.fill_on)) is False)
+        if structural:  # a structural False may overrule a balance that cancels
+            assert anonymity_equivalent(x, y, n) <= _ref_balanced(xs, ys)
+        else:
+            assert anonymity_equivalent(x, y, n) == _ref_balanced(xs, ys)
+    assert {-1, 0, 1} <= slopes  # rank against fill both ways, and equal slopes
+
+
+def test_cesaro_checkpoint_sums_match_reference():
+    odd = RankFill(ArithProg(1, 2))
+    for x in (odd, apply_permutation(odd, FinitePermutation.cycle([1, 4, 9])),
+              RankFill(ArithProg(2, 3), Fraction(5, 2)),
+              Piecewise(2, ((FactorialPoints(ArithProg(1, 1)), Fraction(3)),)),
+              Piecewise(1, ((parse_set("fintervals[((2k-1)!,(2k)!)]"), Fraction(2, 3)),))):
+        v = cesaro_liminf(x)
+        assert v.kind == "interval"
+        total, expected = Fraction(0), []
+        for t, value in enumerate(_ref_values(x, 5040), 1):
+            total += value
+            if t in (120, 720, 1708, 5040):
+                expected.append((t, total / t))
+        assert list(v.evidence) == expected
+
+
+# {2, 3, ..., 81} and then an error: block 41's upper bound takes the factorial of -1.
+# intervals raises from n = 82 on, so the walk falls back to member coordinate by coordinate.
+FAILING_BLOCKS = parse_set("fintervals[(2k,2k+1+0*(40-k)!)]")
+
+
+def test_set_error_surfaces_where_member_raises():
+    with pytest.raises(IndexSetError) as from_member:
+        member(FAILING_BLOCKS, 82)
+    x = Piecewise(0, ((FAILING_BLOCKS, Fraction(1)),))
+    for stream in (x, RankFill(Compl(FAILING_BLOCKS)),
+                   apply_permutation(x, FinitePermutation.swap(3, 9))):
+        walked = 0
+        with pytest.raises(IndexSetError) as from_walk:
+            for _ in values(stream, 200):
+                walked += 1
+        assert walked == 81 and str(from_walk.value) == str(from_member.value)
+    with pytest.raises(IndexSetError) as from_scan:
+        scan_pair(x, constant(0), 200)
+    assert str(from_scan.value) == str(from_member.value)
+    # A violation before the error ends the scan first.
+    assert scan_pair(x, constant(1), 200) == ((1, 0, 1), 0)
+    late = Piecewise(0, ((Finite((50,)), Fraction(5)),))
+    assert scan_pair(x, late, 200) == ((50, 1, 5), 48)
+    assert scan_pair(x, late, 200, expected_strict=Interval(2, 81)) == ((50, 1, 5), 48)
+
+
+def test_block_cap_is_not_reached_when_the_scan_stops_first():
+    capped = parse_set("fintervals[(2k,2k+1)]")  # member raises from t = 20002 on
+    x = Piecewise(0, ((capped, Fraction(1)),))
+    assert scan_pair(x, constant(1), 30000) == ((1, 0, 1), 0)
+    assert prefix(RankFill(Compl(capped)), 5) == [1, 2, 3, 4, 5]
