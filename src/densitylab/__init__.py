@@ -15,6 +15,7 @@ from .dominance import (
 )
 from .dsl import parse_permutation, parse_set, parse_stream, format_permutation, format_set, format_stream
 from .indexsets import (
+    INFINITE,
     NAT,
     ArithProg,
     BlockPattern,
@@ -28,6 +29,7 @@ from .indexsets import (
     Interval,
     Union,
     count,
+    finiteness,
     member,
     nth_element,
 )

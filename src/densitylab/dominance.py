@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import verdicts
 from .densities import contains_long_intervals, density, exact_density
 from .indexsets import (
+    INFINITE,
     NAT,
     Diff,
     Finite,
@@ -24,7 +25,7 @@ from .indexsets import (
     Union,
     count,
     elements_up_to,
-    finite_upper_bound,
+    finiteness,
     is_finite,
     nth_element,
     periodic_profile,
@@ -68,40 +69,34 @@ __all__ = [
 ]
 
 
-def _is_finite_rich(s) -> bool | None:
-    """Structural finiteness, falling back to exact densities.
+# Difference windows above this bound are not materialized.
+_WINDOW_CAP = 1_000_000
+
+
+def _finiteness(s):
+    """``finiteness``, falling back to exact densities for infinitude.
 
     A set with positive exact lower density is infinite even when the
     shape alone does not decide it, and so is the intersection of an
     infinite periodic set with a set containing unboundedly long
     intervals.
     """
-    f = is_finite(s)
+    f = finiteness(s)
     if f is not None:
         return f
     if contains_long_intervals(s):
-        return False
+        return INFINITE
     d = exact_density(s)
     if d is not None and d[0] > 0:
-        return False
+        return INFINITE
     if isinstance(s, Inter):
         for a, b in ((s.left, s.right), (s.right, s.left)):
             p = periodic_profile(a)
             if p is not None and p.residues and contains_long_intervals(b):
-                return False
-    if isinstance(s, Union):
-        l = _is_finite_rich(s.left)
-        r = _is_finite_rich(s.right)
-        if l is False or r is False:
-            return False
-        if l is True and r is True:
-            return True
+                return INFINITE
+    if isinstance(s, Union) and INFINITE in (_finiteness(s.left), _finiteness(s.right)):
+        return INFINITE
     return None
-
-
-def _is_infinite_rich(s) -> bool | None:
-    f = _is_finite_rich(s)
-    return None if f is None else not f
 
 
 def _weak_gate(x: Stream, y: Stream, horizon: int):
@@ -135,7 +130,7 @@ def pareto_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> Re
             )
             return _gated(weak, v, horizon)
         return verdicts.undecided(horizon=horizon, note="no strict coordinate scanned")
-    if provably_nonempty(s, horizon):
+    if _finiteness(s) is INFINITE or provably_nonempty(s, horizon):
         return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
     if provably_empty(s):
         return verdicts.fails(note="strict set is provably empty")
@@ -149,10 +144,10 @@ def infinite_pareto_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZ
         return weak
     if isinstance(s, Undecided):
         return verdicts.undecided(horizon=horizon, note="infinitude is not scan-decidable")
-    inf = _is_infinite_rich(s)
-    if inf is True:
+    f = _finiteness(s)
+    if f is INFINITE:
         return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if inf is False:
+    if f is not None:
         return verdicts.fails(note="strict set is structurally finite")
     return verdicts.undecided(horizon=horizon, note="infinitude of the strict set is undecided")
 
@@ -198,11 +193,11 @@ def almost_weak_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) 
     ns = nonstrict_set(x, y, horizon)
     if isinstance(ns, Undecided):
         return verdicts.undecided(horizon=horizon, note="cofiniteness is not scan-decidable")
-    fin = _is_finite_rich(ns)
-    if fin is True:
+    f = _finiteness(ns)
+    if isinstance(f, int):
         s = strict_set(x, y, horizon)
         return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if fin is False:
+    if f is INFINITE:
         return verdicts.fails(note="infinitely many coordinates are not strictly improved")
     return verdicts.undecided(horizon=horizon, note="cofiniteness of the strict set is undecided")
 
@@ -266,24 +261,6 @@ def _inter_of(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _finite_difference_window(x: Stream, y: Stream, horizon: int):
-    """Materialize the coordinates where x and y differ, when provably finite.
-
-    Returns (window, None) on success, (None, reason) otherwise.
-    """
-    sxy = strict_set(x, y, horizon)
-    syx = strict_set(y, x, horizon)
-    if isinstance(sxy, Undecided) or isinstance(syx, Undecided):
-        return None, "difference set is not structural"
-    diff = Union(sxy, syx)
-    if is_finite(diff) is not True:
-        return None, None if is_finite(diff) is False else "difference set finiteness undecided"
-    bound = finite_upper_bound(diff)
-    if bound > 1_000_000:
-        return None, f"difference window bound {bound} too large to materialize"
-    return elements_up_to(diff, bound), None
-
-
 def _sorted_dominates(xs: list, ys: list) -> bool:
     """Sorted-descending componentwise dominance of equal-length value lists."""
     return all(a >= b for a, b in zip(sorted(xs, reverse=True), sorted(ys, reverse=True)))
@@ -303,21 +280,23 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
     syx = strict_set(y, x, horizon)
     if isinstance(sxy, Undecided) or isinstance(syx, Undecided):
         return verdicts.undecided(horizon=horizon, note="difference structure not derivable")
-    inf_xy = _is_infinite_rich(sxy)
-    inf_yx = _is_infinite_rich(syx)
-    if inf_yx is True and inf_xy is True:
-        return verdicts.incomparable(note="both strict sets are infinite")
-    if inf_yx is True:
+    fxy, fyx = _finiteness(sxy), _finiteness(syx)
+    if fyx is INFINITE:
+        if fxy is INFINITE:
+            return verdicts.incomparable(note="both strict sets are infinite")
         return verdicts.fails(note="y exceeds x on an infinite set")
-    if inf_yx is not False:
+    if fyx is None:
         return verdicts.undecided(horizon=horizon, note="reverse strict set finiteness undecided")
     # Finitely many descents.  A window containing all of them decides the
     # query: appending coordinates with equal values never changes sorted
     # dominance, and coordinates beyond the window satisfy x >= y.
-    if _is_finite_rich(sxy) is True:
-        window, reason = _finite_difference_window(x, y, horizon)
-        if window is None:
-            return verdicts.undecided(horizon=horizon, note=reason or "window not materializable")
+    if isinstance(fxy, int):
+        bound = max(fxy, fyx)
+        if bound > _WINDOW_CAP:
+            return verdicts.undecided(
+                horizon=horizon, note=f"difference window bound {bound} too large to materialize"
+            )
+        window = elements_up_to(Union(sxy, syx), bound)
         if not window:
             return verdicts.holds(note="identity permutation")
         xs = [eval_at(x, t) for t in window]
@@ -330,8 +309,7 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
         return verdicts.incomparable(note="neither sorted window dominates")
     # x exceeds y infinitely often while descents are finite: search growing
     # prefixes for a dominating rearrangement.
-    bound = finite_upper_bound(syx)
-    b = max(bound, 1)
+    b = max(fyx, 1)
     while b <= horizon:
         xs = prefix(x, b)
         ys = prefix(y, b)
@@ -358,10 +336,10 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
     """Whether y equals x composed with some finite permutation.
 
     Decided by multiset equality on the differing window plus tail
-    equality.  For pairs without structural tail equality the answer is
-    relative to the scan horizon: True requires the scanned difference
-    window to be multiset-balanced and the streams to agree beyond it up
-    to the horizon.
+    equality.  When both strict sets are structurally finite, the scan
+    reaches their bound and the answer is exact.  Otherwise it is relative
+    to the scan horizon: True requires the scanned difference window to be
+    multiset-balanced and the streams to agree beyond it up to the horizon.
     """
     if x == y:
         return True
@@ -374,8 +352,11 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
     sxy = strict_set(x, y, horizon)
     syx = strict_set(y, x, horizon)
     if not isinstance(sxy, Undecided) and not isinstance(syx, Undecided):
-        if _is_infinite_rich(sxy) is True or _is_infinite_rich(syx) is True:
+        bounds = (_finiteness(sxy), _finiteness(syx))
+        if INFINITE in bounds:
             return False
+        if None not in bounds and max(bounds) <= _WINDOW_CAP:
+            horizon = max(horizon, *bounds)  # the streams agree beyond the bounds
     # The balance is the value histogram of x minus that of y through the
     # horizon: equal coordinates cancel, so it is zero exactly when the
     # values at differing coordinates balance.  A constant piece adds its

@@ -41,12 +41,16 @@ class DslError(ValueError):
         self.position = position
 
 
+# Brackets nested deeper than this are a parse error: deeper input would
+# exhaust the recursion of the parser and of the set analyses.
+MAX_NESTING = 256
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-z_]+)|(->)|([{}()\[\],;:=+\-*/!@]))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
@@ -63,6 +67,9 @@ def _tokenize(text: str):
         elif arrow is not None:
             tokens.append(("arrow", "->", tok_pos))
         else:
+            depth += (punct in "([{") - (punct in ")]}")
+            if depth > MAX_NESTING:
+                raise DslError(f"brackets nested deeper than {MAX_NESTING}", tok_pos)
             tokens.append(("punct", punct, tok_pos))
         pos = m.end()
     tokens.append(("end", None, len(text)))

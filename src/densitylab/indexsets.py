@@ -9,6 +9,7 @@ counted by inclusion-exclusion and interval restriction.
 
 from __future__ import annotations
 
+import enum
 import heapq
 import math
 from bisect import bisect_right
@@ -49,12 +50,12 @@ __all__ = [
     "eval_bound",
     "bound_uses_var",
     "periodic_profile",
+    "finiteness",
     "is_finite",
-    "is_infinite",
+    "INFINITE",
     "provably_empty",
     "provably_nonempty",
     "provably_disjoint",
-    "finite_upper_bound",
     "inverse_factorial",
     "DEFAULT_HORIZON",
 ]
@@ -527,21 +528,20 @@ def nth_element(s: IndexSet, m: int) -> int:
     """The m-th smallest element of s (1-indexed)."""
     if m < 1:
         raise IndexSetError(f"element index must be >= 1, got {m}")
-    fin = is_finite(s)
-    if fin is True:
-        bound = finite_upper_bound(s)
+    bound = finiteness(s)
+    if isinstance(bound, int):
         total = count(s, bound)
         if total < m:
             raise NthElementError(f"set has only {total} elements, needs {m}")
-        hi = bound
-    else:
-        hi = 1
-        while count(s, hi) < m:
-            hi *= 2
-            if hi > _NTH_SEARCH_CAP:
-                raise NthElementError(
-                    f"no {m}-th element found below 2**64; the set may be finite"
-                )
+    # Search upwards from 1, so that the cost follows the answer and not a
+    # loose bound such as (p-1)! for factorials meeting a period p.
+    hi = 1
+    while count(s, hi) < m:
+        hi *= 2
+        if hi > _NTH_SEARCH_CAP and not isinstance(bound, int):
+            raise NthElementError(
+                f"no {m}-th element found below 2**64; the set may be finite"
+            )
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -560,16 +560,26 @@ def elements_up_to(s: IndexSet, n: int) -> list[int]:
 def segments(s: IndexSet, n: int) -> Iterator[tuple[int, int, bool]]:
     """``(lo, hi, inside)`` covering 1..n in order: the runs of s and the gaps.
 
-    When ``intervals`` cannot enumerate s to n, the segments are single
-    coordinates decided lazily by ``member``, so an IndexSetError comes at
-    the coordinate where ``member`` raises, and not at all when the caller
-    stops earlier: ``intervals`` evaluates bounds that ``member`` may never
-    reach.
+    When ``intervals`` cannot enumerate s to n, it fails for every bound
+    from some m0 on (a larger bound evaluates more), so the segments are
+    the runs below m0 and then single coordinates decided lazily by
+    ``member``.  An IndexSetError thus comes at the coordinate where
+    ``member`` raises, and not at all when the caller stops earlier:
+    ``intervals`` evaluates bounds that ``member`` may never reach.
     """
     try:
         runs = intervals(s, n)
     except IndexSetError:
-        yield from ((t, t, member(s, t)) for t in range(1, n + 1))
+        ok, bad = 0, n  # intervals(s, ok) succeeds, intervals(s, bad) raises
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            try:
+                intervals(s, mid)
+                ok = mid
+            except IndexSetError:
+                bad = mid
+        yield from segments(s, ok)
+        yield from ((t, t, member(s, t)) for t in range(bad, n + 1))
         return
     cur = 1
     for lo, hi in runs:
@@ -696,9 +706,8 @@ def periodic_profile(s: IndexSet) -> Profile | None:
     if isinstance(s, Interval):
         return Profile(1, frozenset(), s.hi + 1)
     if isinstance(s, (FactorialPoints, FactorialIntervals)):
-        if _structurally_finite(s):
-            return Profile(1, frozenset(), finite_upper_bound(s) + 1)
-        return None
+        f = finiteness(s)
+        return Profile(1, frozenset(), f + 1) if isinstance(f, int) else None
     if isinstance(s, Compl):
         p = periodic_profile(s.arg)
         if p is None:
@@ -722,106 +731,74 @@ def periodic_profile(s: IndexSet) -> Profile | None:
     return None
 
 
-def _structurally_finite(s: IndexSet) -> bool:
-    """True only when finiteness follows from the shape of factorial atoms."""
-    if isinstance(s, (Finite, Interval)):
-        return True
-    if isinstance(s, FactorialPoints):
-        return is_finite(s.base) is True
-    if isinstance(s, FactorialIntervals):
-        return s.pattern is None
-    return False
+class Unbounded(enum.Enum):
+    """The finiteness answer for a set proven infinite."""
+
+    INFINITE = "infinite"
 
 
-def is_finite(s: IndexSet) -> bool | None:
-    """Three-valued structural finiteness: True, False, or None (unknown)."""
-    p = periodic_profile(s)
-    if p is not None:
-        return not p.residues
-    if isinstance(s, FactorialPoints):
-        return is_finite(s.base)
-    if isinstance(s, FactorialIntervals):
-        return s.pattern is None
-    if isinstance(s, Union):
-        l, r = is_finite(s.left), is_finite(s.right)
-        if l is True and r is True:
-            return True
-        if l is False or r is False:
-            return False
-        return None
-    if isinstance(s, Inter):
-        if is_finite(s.left) is True or is_finite(s.right) is True:
-            return True
-        fp = _factorial_inter_profile_finite(s.left, s.right)
-        if fp is not None:
-            return fp
-        return None
-    if isinstance(s, Diff):
-        if is_finite(s.left) is True:
-            return True
-        if is_finite(s.left) is False and is_finite(s.right) is True:
-            return False
-        fp = _factorial_inter_profile_finite(s.left, Compl(s.right))
-        if fp is not None:
-            return fp
-        return None
-    if isinstance(s, Compl):
-        if is_finite(s.arg) is True:
-            return False
-        return None
-    return None
+INFINITE = Unbounded.INFINITE
 
 
-def _factorial_inter_profile_finite(a: IndexSet, b: IndexSet) -> bool | None:
-    """Finiteness of FactorialPoints(infinite base) meeting a periodic set.
+@lru_cache(maxsize=8192)
+def finiteness(s: IndexSet) -> int | Unbounded | None:
+    """Structural finiteness with its proof: one analysis for every caller.
 
-    n! is divisible by the period for all n >= period, so the intersection
-    is infinite iff residue 0 belongs to the periodic side.
+    An int is an upper bound on max(s) (0 for the empty set) and proves s
+    finite; INFINITE proves s infinite; None means undecided.
     """
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, FactorialPoints) and is_finite(x.base) is False:
-            p = periodic_profile(y)
-            if p is not None:
-                return 0 not in p.residues
-    return None
-
-
-def is_infinite(s: IndexSet) -> bool | None:
-    f = is_finite(s)
-    return None if f is None else not f
-
-
-def finite_upper_bound(s: IndexSet) -> int:
-    """An upper bound on max(s) for sets with is_finite(s) is True."""
-    # Atom cases come first: the profile of a factorial atom is itself
-    # derived from this bound.
     if isinstance(s, Finite):
         return s.elements[-1] if s.elements else 0
     if isinstance(s, Interval):
         return s.hi
+    if isinstance(s, ArithProg):
+        return INFINITE
     if isinstance(s, FactorialPoints):
-        b = finite_upper_bound(s.base)
+        b = finiteness(s.base)
+        if not isinstance(b, int):
+            return b
+        if b > _FACT_ARG_CAP:
+            return None
         return math.factorial(b) if b >= 1 else 0
     if isinstance(s, FactorialIntervals):
         if s.pattern is not None:
-            raise IndexSetError("set is not structurally finite")
+            return INFINITE
         return s.blocks[-1][1] if s.blocks else 0
     p = periodic_profile(s)
-    if p is not None and not p.residues:
-        return p.start - 1
+    if p is not None:
+        return INFINITE if p.residues else p.start - 1
     if isinstance(s, Union):
-        return max(finite_upper_bound(s.left), finite_upper_bound(s.right))
-    if isinstance(s, Inter):
-        bounds = []
-        for side in (s.left, s.right):
-            if is_finite(side) is True:
-                bounds.append(finite_upper_bound(side))
-        if bounds:
-            return min(bounds)
-        raise IndexSetError("set is not structurally finite")
-    if isinstance(s, Diff):
-        return finite_upper_bound(s.left)
-    raise IndexSetError("set is not structurally finite")
+        sides = (finiteness(s.left), finiteness(s.right))
+        if INFINITE in sides:
+            return INFINITE
+        return None if None in sides else max(sides)
+    if isinstance(s, Compl):
+        return INFINITE if isinstance(finiteness(s.arg), int) else None
+    left, right = (s.left, s.right) if isinstance(s, Inter) else (s.left, Compl(s.right))
+    bounds = [b for b in (finiteness(left), finiteness(right)) if isinstance(b, int)]
+    if bounds:
+        return min(bounds)
+    if isinstance(left, FactorialPoints) and isinstance(right, FactorialPoints):
+        # n -> n! is injective on n >= 1.
+        return finiteness(FactorialPoints(Inter(left.base, right.base)))
+    for x, y in ((left, right), (right, left)):
+        if (isinstance(x, FactorialPoints) and finiteness(x.base) is INFINITE
+                and (p := periodic_profile(y)) is not None):
+            # n! is divisible by the period for all n >= period.
+            if 0 in p.residues:
+                return INFINITE
+            if p.period - 1 > _FACT_ARG_CAP:
+                return None
+            return max(math.factorial(p.period - 1), p.start - 1)
+    if isinstance(s, Diff) and finiteness(s.left) is INFINITE and isinstance(finiteness(s.right), int):
+        return INFINITE
+    return None
+
+
+def is_finite(s: IndexSet) -> bool | None:
+    """Three-valued view of ``finiteness``: True, False, or None (unknown)."""
+    f = finiteness(s)
+    return None if f is None else f is not INFINITE
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +833,8 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     p = periodic_profile(Inter(a, b))
     if p is not None and not p.residues:
         return count(Inter(a, b), p.start - 1) == 0
+    if isinstance(a, FactorialPoints) and isinstance(b, FactorialPoints):
+        return provably_empty(Inter(a.base, b.base))  # n -> n! is injective on n >= 1
     for x, y in ((a, b), (b, a)):
         if isinstance(x, Finite):
             return all(not member(y, e) for e in x.elements)
@@ -874,14 +853,10 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
 
 
 def provably_nonempty(s: IndexSet, probe: int = DEFAULT_HORIZON) -> bool:
-    """True when an element is exhibited (structurally counted) below a bound."""
-    if count(s, probe) > 0:
-        return True
-    p = periodic_profile(s)
-    if p is not None and p.residues:
+    """True when an element is exhibited (structurally counted) below a bound,
+    or s is proven infinite."""
+    if count(s, probe) > 0 or finiteness(s) is INFINITE:
         return True
     if isinstance(s, FactorialPoints):
         return provably_nonempty(s.base, probe)
-    if isinstance(s, FactorialIntervals):
-        return bool(s.blocks) or s.pattern is not None
-    return False
+    return isinstance(s, FactorialIntervals) and bool(s.blocks)

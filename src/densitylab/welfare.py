@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import exact_density
-from .indexsets import Compl, is_infinite, provably_empty, provably_nonempty
+from .indexsets import Compl, is_finite, provably_empty, provably_nonempty
 from .streams import (
     Permuted,
     Piecewise,
@@ -191,10 +191,10 @@ def liminf_swf(x: Stream) -> SwfValue:
     if isinstance(x, Permuted):
         return liminf_swf(x.base)
     if isinstance(x, RankFill):
-        inf = is_infinite(x.fill_on)
-        if inf is True:
+        fin = is_finite(x.fill_on)
+        if fin is False:
             return SwfValue.finite(x.fill)
-        if inf is False:
+        if fin is True:
             # Only rank values remain eventually, and those grow without bound.
             return SwfValue.plus_infinity()
         raise SwfError("infinitude of the fill set is undecided")
@@ -205,10 +205,10 @@ def liminf_swf(x: Stream) -> SwfValue:
         recurring = []
         uncertain = []
         for region, v in _regions(x):
-            inf = is_infinite(region)
-            if inf is True:
+            fin = is_finite(region)
+            if fin is False:
                 recurring.append(v)
-            elif inf is None:
+            elif fin is None:
                 uncertain.append(v)
         if not recurring:
             raise SwfError("no region is provably infinite")

@@ -86,6 +86,39 @@ def test_anonymity_rank_fills_with_infinite_difference():
     assert code == 0 and report["results"]["equivalent"] is False
 
 
+def test_anonymity_finite_difference_beyond_the_horizon():
+    # The streams differ only at t = 6000, past the default horizon 5040.
+    code, report, _ = run_json(["compare", "--axiom", "anonymity", "--x",
+                                "piecewise(default=0;finite{6000}:1)", "--y", "const(0)"])
+    assert code == 0 and report["results"]["equivalent"] is False
+    code, report, _ = run_json(["compare", "--axiom", "anonymity", "--x",
+                                "piecewise(default=0;finite{6000}:1)",
+                                "--y", "piecewise(default=0;finite{7000}:1)"])
+    assert code == 0 and report["results"]["equivalent"] is True
+
+
+# A pair whose strict sets are finite only because n! is divisible by 27 for
+# large n; both analyses used to end in set_error.
+FACTORIAL_PERIOD_PAIR = [
+    "--x", "piecewise(default=2;compl(finite{27}):3;diff(factorials(ap(3,1)),compl(finite{27})):2)",
+    "--y", "piecewise(default=1;union(interval(34,37),finite{21,47,58}):3;diff(diff(factorials(ap(1,1)),"
+           "diff(finite{10,39,45,51},factorials(ap(2,1)))),union(interval(34,37),finite{21,47,58})):1)",
+]
+
+
+@pytest.mark.parametrize("axiom", ["chain", "suppes_sen"])
+def test_factorial_period_pair_is_decided(axiom):
+    start = time.perf_counter()
+    code, report, _ = run_json(["compare", "--axiom", axiom] + FACTORIAL_PERIOD_PAIR)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    r = report["results"]
+    if axiom == "chain":
+        assert r["consistent"] is True
+    else:
+        assert r["status"] == "holds"
+
+
 def test_swf_cesaro():
     code, report, _ = run_json(
         ["swf", "--which", "cesaro", "--x", "piecewise(default=0; ap(2,2):1)"]
@@ -161,6 +194,19 @@ def test_parse_error_exit_code():
     code, out, err = run_cli(["density", "bogus("])
     assert code == 2
     assert json.loads(err.splitlines()[0])["error"]["code"] == "parse_error"
+
+
+def _nested(depth):
+    return "compl(" * depth + "nat" + ")" * depth
+
+
+def test_nesting_past_the_cap_is_a_parse_error():
+    from densitylab.dsl import MAX_NESTING
+
+    code, out, err = run_cli(["density", _nested(MAX_NESTING + 1)])
+    assert code == 2 and out == "" and _error_code(err) == "parse_error"
+    code, report, _ = run_json(["density", _nested(200)])
+    assert code == 0 and report["results"]["exact"] is True
 
 
 def test_config_validation_exit_code():

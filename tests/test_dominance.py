@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,3 +272,17 @@ def test_chain_report_shape():
     report = implication_chain_report(x, y)
     assert tuple(name for name, _ in report.entries) == CHAIN_ORDER
     assert report.consistent
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_clause_pairs_are_decided(k):
+    # Both streams equal i on factorials(ap(i, k+1)); elsewhere x = 9 > y = 0.
+    # The clause sets are disjoint because n -> n! is injective.
+    clauses = tuple((FactorialPoints(ArithProg(i, k + 1)), Fraction(i)) for i in range(1, k + 1))
+    start = time.perf_counter()
+    report = implication_chain_report(Piecewise(9, clauses), Piecewise(0, clauses))
+    assert time.perf_counter() - start < 1
+    assert report.consistent
+    by_name = {name: v.status for name, v in report.entries}
+    assert by_name["almost_weak"] is Status.FAILS and by_name["density_one"] is Status.HOLDS
+    assert Status.UNDECIDED not in by_name.values()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.indexsets import (
+    INFINITE,
     NAT,
     ArithProg,
     Compl,
@@ -21,10 +22,9 @@ from densitylab.indexsets import (
     Union,
     count,
     elements_up_to,
-    finite_upper_bound,
+    finiteness,
     intervals,
     is_finite,
-    is_infinite,
     member,
     nth_element,
     periodic_profile,
@@ -173,25 +173,57 @@ def test_profile_absent_for_factorials():
 
 
 def test_finiteness():
+    assert finiteness(Finite((1, 2))) == 2
+    assert finiteness(ArithProg(1, 2)) is INFINITE
+    assert finiteness(FactorialPoints(Finite((3, 5)))) == 120
+    assert finiteness(FACTS) is INFINITE
+    assert finiteness(Inter(ArithProg(1, 2), Interval(1, 100))) <= 100
     assert is_finite(Finite((1, 2))) is True
-    assert is_finite(ArithProg(1, 2)) is False
-    assert is_finite(FactorialPoints(Finite((3, 5)))) is True
-    assert is_infinite(FACTS) is True
-    assert is_finite(Inter(ArithProg(1, 2), Interval(1, 100))) is True
+    assert is_finite(FACTS) is False
+    assert is_finite(Compl(FACTS)) is None
 
 
 def test_factorials_meet_residue_classes():
     # n! is divisible by d for n >= d, so factorials eventually sit in the
     # zero class: infinitely many in ap(d,d), finitely many elsewhere.
-    assert is_finite(Inter(FACTS, ArithProg(3, 3))) is False
-    assert is_finite(Inter(FACTS, ArithProg(1, 3))) is True
-    assert is_finite(Diff(FACTS, ArithProg(3, 3))) is True
+    assert finiteness(Inter(FACTS, ArithProg(3, 3))) is INFINITE
+    assert finiteness(Inter(FACTS, ArithProg(1, 3))) == 2
+    assert finiteness(Diff(FACTS, ArithProg(3, 3))) == 2
 
 
 def test_finite_upper_bound():
-    assert finite_upper_bound(Finite((7, 11))) == 11
-    assert finite_upper_bound(FactorialPoints(Finite((4,)))) == 24
-    assert finite_upper_bound(Inter(ArithProg(1, 3), Interval(2, 50))) <= 50
+    assert finiteness(Finite((7, 11))) == 11
+    assert finiteness(Finite(())) == 0
+    assert finiteness(FactorialPoints(Finite((4,)))) == 24
+    assert finiteness(Inter(ArithProg(1, 3), Interval(2, 50))) <= 50
+    assert finiteness(FactorialIntervals(((3, 5), (8, 13)))) == 13
+    assert finiteness(Union(Interval(2, 9), Finite((4, 30)))) == 30
+    assert finiteness(Union(Interval(2, 9), FACTS)) is INFINITE
+    assert finiteness(Compl(Inter(FACTS, Interval(1, 30)))) is INFINITE
+    # FactorialPoints(A) meets FactorialPoints(B) in FactorialPoints(A & B).
+    assert finiteness(Inter(FACTS, FactorialPoints(ArithProg(2, 2)))) is INFINITE
+    assert isinstance(finiteness(Inter(FactorialPoints(ArithProg(1, 3)), FactorialPoints(ArithProg(2, 3)))), int)
+    # Difference of an infinite set and a bounded one.
+    assert finiteness(Diff(FACTS, Inter(FACTS, Interval(1, 30)))) is INFINITE
+
+
+def test_finiteness_bound_holds_against_the_mask():
+    # Every bound b is checked on membership_mask, the oracle that shares no
+    # code with finiteness, well past b.
+    rng = random.Random(15)
+    sets = [random_decidable_set(rng, depth=2) for _ in range(300)]
+    for _ in range(100):
+        a, b = random_decidable_set(rng, depth=1), random_decidable_set(rng, depth=1)
+        sets += [Inter(FactorialPoints(a), b), Diff(FactorialPoints(a), b),
+                 Inter(FactorialPoints(a), FactorialPoints(b)), Union(FactorialPoints(a), b)]
+    bounded = 0
+    for s in sets:
+        b = finiteness(s)
+        if isinstance(b, int) and b <= 10**6:
+            bounded += 1
+            mask = membership_mask(s, b + 5040)
+            assert not mask[b:].any(), (s, b)
+    assert bounded > 100
 
 
 def test_emptiness_and_disjointness():
@@ -201,6 +233,16 @@ def test_emptiness_and_disjointness():
     assert provably_disjoint(Interval(1, 10), Interval(11, 20))
     assert provably_disjoint(Inter(ArithProg(1, 2), FACTS), ArithProg(2, 2))
     assert provably_nonempty(FACTS)
+    assert provably_disjoint(FactorialPoints(ArithProg(1, 3)), FactorialPoints(ArithProg(2, 3)))
+
+
+def test_nth_element_on_factorials_meeting_a_period():
+    # Finite only because n! is divisible by 4 for n >= 4.
+    s = Inter(FACTS, ArithProg(2, 4))
+    assert periodic_profile(s) is None and is_finite(s) is True
+    assert [nth_element(s, m) for m in (1, 2)] == [2, 6]
+    with pytest.raises(NthElementError):
+        nth_element(s, 3)
 
 
 def test_progression_count_error_bound():

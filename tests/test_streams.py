@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -399,3 +400,24 @@ def test_block_cap_is_not_reached_when_the_scan_stops_first():
     x = Piecewise(0, ((capped, Fraction(1)),))
     assert scan_pair(x, constant(1), 30000) == ((1, 0, 1), 0)
     assert prefix(RankFill(Compl(capped)), 5) == [1, 2, 3, 4, 5]
+
+
+def test_block_cap_walk_reaches_the_error_quickly():
+    # intervals raises for every bound from some m0 on; the walk finds m0 by
+    # bisection and calls member only from there.
+    capped = parse_set("fintervals[(2k,2k+1)]")
+    with pytest.raises(IndexSetError) as from_member:
+        member(capped, 20002)
+    x = Piecewise(1, ((capped, Fraction(1)),))
+    start = time.perf_counter()
+    walked = 0
+    with pytest.raises(IndexSetError) as from_walk:
+        for _ in values(x, 30000):
+            walked += 1
+    assert time.perf_counter() - start < 5
+    assert walked == 20001 and str(from_walk.value) == str(from_member.value)
+    start = time.perf_counter()
+    with pytest.raises(IndexSetError) as from_scan:
+        scan_pair(x, constant(0), 30000)
+    assert time.perf_counter() - start < 5
+    assert str(from_scan.value) == str(from_member.value)
