@@ -377,7 +377,7 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
         if cover:
             if v - prev > distinct:
                 return False  # some value in [prev, v) has no constant mass to cancel
-            for u in range(prev.numerator, v.numerator):
+            for u in range(prev, v):
                 points[u] += cover
         cover += ranks[v]
         prev = v

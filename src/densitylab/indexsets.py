@@ -789,10 +789,31 @@ def finiteness(s: IndexSet) -> int | Unbounded | None:
                 return INFINITE
             if p.period - 1 > _FACT_ARG_CAP:
                 return None
-            return max(math.factorial(p.period - 1), p.start - 1)
+            return _max_factorial_in_profile(x.base, y, p)
     if isinstance(s, Diff) and finiteness(s.left) is INFINITE and isinstance(finiteness(s.right), int):
         return INFINITE
     return None
+
+
+def _max_factorial_in_profile(base: IndexSet, y: IndexSet, p: Profile) -> int:
+    """max{j! : j in base, j! in y} (0 when none), where y has profile p and
+    0 is not among its residues.
+
+    Once j >= period, j! is 0 modulo the period, so j! lies outside y as soon
+    as j! >= p.start too: the walk ends there.  At and above p.start,
+    membership of j! is read from j! modulo the period, kept incrementally;
+    below it, from y itself.
+    """
+    last = 0
+    j, f, r = 1, 1, 1 % p.period  # f is j! while below p.start, then frozen
+    while j < p.period or f < p.start:
+        if (member(y, f) if f < p.start else r in p.residues) and member(base, j):
+            last = j
+        j += 1
+        r = r * j % p.period
+        if f < p.start:
+            f *= j
+    return math.factorial(last) if last else 0
 
 
 def is_finite(s: IndexSet) -> bool | None:
@@ -852,10 +873,18 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     return False
 
 
+def _lists_an_element(s: IndexSet) -> bool:
+    """A nonempty literal, or a union with one: no counting needed.  The
+    ArithProg and Interval constructors reject the empty forms."""
+    if isinstance(s, Union):
+        return _lists_an_element(s.left) or _lists_an_element(s.right)
+    return isinstance(s, (ArithProg, Interval)) or isinstance(s, Finite) and bool(s.elements)
+
+
 def provably_nonempty(s: IndexSet, probe: int = DEFAULT_HORIZON) -> bool:
-    """True when an element is exhibited (structurally counted) below a bound,
-    or s is proven infinite."""
-    if count(s, probe) > 0 or finiteness(s) is INFINITE:
+    """True when s lists an element, an element is exhibited (structurally
+    counted) below a bound, or s is proven infinite."""
+    if _lists_an_element(s) or count(s, probe) > 0 or finiteness(s) is INFINITE:
         return True
     if isinstance(s, FactorialPoints):
         return provably_nonempty(s.base, probe)

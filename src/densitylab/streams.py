@@ -3,13 +3,14 @@
 A stream assigns an exact rational to every coordinate t >= 1.  Supported
 forms: piecewise-constant over disjoint index sets, rank-fill (a fill value
 on a set U and the value m+1 at the m-th element of the complement of U),
-and a finitely permuted view of another stream.
+and a finitely permuted view of another stream.  A rank is an ``int``;
+every other value (fills, piecewise values) is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat, starmap
@@ -54,6 +55,7 @@ __all__ = [
     "weakly_dominates",
     "stream_profile",
     "StreamProfile",
+    "Value",
     "DEFAULT_HORIZON",
 ]
 
@@ -179,6 +181,10 @@ class Permuted:
 
 Stream = Piecewise | RankFill | Permuted
 
+# An exact rational: a rank is an int, every other value a Fraction.  The
+# two agree on ``==``, ``hash``, ``str`` and ordering, so callers mix them.
+Value = Fraction | int
+
 
 def constant(v) -> Piecewise:
     return Piecewise(v)
@@ -189,8 +195,9 @@ def constant(v) -> Piecewise:
 # ---------------------------------------------------------------------------
 
 
-def eval_at(x: Stream, t: int) -> Fraction:
-    """The exact value of coordinate t >= 1."""
+def eval_at(x: Stream, t: int) -> Value:
+    """The exact value of coordinate t >= 1: an int at a rank coordinate of a
+    rank-fill stream, else a Fraction."""
     if t < 1:
         raise StreamError(f"coordinates start at 1, got {t}")
     if isinstance(x, Piecewise):
@@ -198,7 +205,7 @@ def eval_at(x: Stream, t: int) -> Fraction:
     if isinstance(x, RankFill):
         if member(x.fill_on, t):
             return x.fill
-        return Fraction(count(Compl(x.fill_on), t) + 1)
+        return count(Compl(x.fill_on), t) + 1
     if isinstance(x, Permuted):
         return eval_at(x.base, x.perm(t))
     raise TypeError(f"not a stream: {x!r}")
@@ -214,14 +221,15 @@ def _piecewise_at(x: Piecewise, t: int) -> Fraction:
     return hit[1] if hit is not None else x.default
 
 
-Run = tuple[int, int, Fraction, int]
+Run = tuple[int, int, Value, int]
 
 
 def runs(x: Stream, n: int) -> Iterator[Run]:
     """Coordinates 1..n as runs ``(lo, hi, v, slope)``: the one walk.
 
     On a run the value at t is v + slope * (t - lo), with slope 0 (a
-    constant) or 1 (consecutive ranks).  Runs come in order, cover 1..n
+    constant, v a Fraction) or 1 (consecutive ranks, v the int rank at
+    lo).  Runs come in order, cover 1..n
     and are built lazily from the ``segments`` of the stream's sets.  Every
     value equals ``eval_at(x, t)``: a piecewise overlap raises eval_at's
     OverlapError at the first shared coordinate, and a set that
@@ -239,12 +247,12 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
             if inside:
                 yield lo, hi, x.fill, 0
             else:
-                yield lo, hi, Fraction(rank), 1
+                yield lo, hi, rank, 1
                 rank += hi - lo + 1
     elif isinstance(x, Permuted):
         bound = x.perm.bound
         base = runs(x.base, max(n, bound))
-        head: list[Fraction] = []
+        head: list[Value] = []
         rest = None
         for lo, hi, v, slope in base:
             if hi > bound:
@@ -282,23 +290,26 @@ def _piecewise_runs(x: Piecewise, n: int) -> Iterator[Run]:
         t = hi + 1
 
 
-def _expand(lo: int, hi: int, v: Fraction, slope: int) -> Iterator[Fraction]:
+def _expand(lo: int, hi: int, v: Value, slope: int) -> Iterable[Value]:
     if slope == 0:
         return repeat(v, hi - lo + 1)
-    return map(Fraction, range(v.numerator, v.numerator + hi - lo + 1))
+    return range(v, v + hi - lo + 1)
 
 
-def values(x: Stream, n: int) -> Iterator[Fraction]:
-    """Coordinates 1..n, lazily and in order: the runs of ``runs`` expanded."""
+def values(x: Stream, n: int) -> Iterator[Value]:
+    """Coordinates 1..n, lazily and in order: the runs of ``runs`` expanded.
+
+    Each value equals ``eval_at(x, t)`` and has its type: ranks are ints.
+    """
     return chain.from_iterable(starmap(_expand, runs(x, n)))
 
 
-def prefix(x: Stream, n: int) -> list[Fraction]:
-    """Coordinates 1..n as a list."""
+def prefix(x: Stream, n: int) -> list[Value]:
+    """Coordinates 1..n as a list, typed as ``values`` yields them."""
     return list(values(x, n))
 
 
-Piece = tuple[int, int, Fraction, int, Fraction, int, bool | None]
+Piece = tuple[int, int, Value, int, Value, int, bool | None]
 
 
 def pair_runs(
@@ -330,7 +341,7 @@ def pair_runs(
         t = hi + 1
 
 
-def _sign_runs(d: Fraction, k: int, length: int) -> list[tuple[int, int, int]]:
+def _sign_runs(d: Value, k: int, length: int) -> list[tuple[int, int, int]]:
     """``(j0, j1, sign)`` in increasing j: the ranges of [0, length) on which
     d + k*j is negative (-1), zero (0) or positive (1), for k in {-1, 0, 1}."""
     if k == 0:
@@ -350,7 +361,7 @@ def _sign_runs(d: Fraction, k: int, length: int) -> list[tuple[int, int, int]]:
 
 def scan_pair(
     x: Stream, y: Stream, h: int, expected_strict: IndexSet | None = None
-) -> tuple[tuple[int, Fraction, Fraction] | None, int]:
+) -> tuple[tuple[int, Value, Value] | None, int]:
     """Walk coordinates 1..h of x and y together.
 
     Returns ``(violation, strict)``.  ``violation`` is None or

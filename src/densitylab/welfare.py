@@ -123,9 +123,10 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
     """Sum of delta^(t-1) * x_t.
 
     Exact closed form for eventually-periodic streams; for other bounded
-    streams, an interval of width at most tol from an exact partial sum
-    plus exact tail bounds.  Streams without a structural value bound are
-    rejected since the series may diverge.
+    streams and for rank-fill streams, whose ranks grow at most linearly, an
+    interval of width at most tol from an exact partial sum plus exact tail
+    bounds.  Other streams without a structural value bound are rejected
+    since the series may diverge.
     """
     delta = Fraction(delta)
     tol = Fraction(tol)
@@ -141,20 +142,33 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
             for i in range(p.period)
         )
         return SwfValue.finite(head + cycle / (1 - delta**p.period))
+    tail = _tail_bounds(x, delta)
+    if tail is None:
+        raise SwfError("stream has no structural value bound; series may diverge")
+    n, dn = 1, delta
+    lo, hi = tail(n, dn)
+    while hi - lo > tol:
+        n, dn = n + 1, dn * delta
+        lo, hi = tail(n, dn)
+    partial = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, n), 1))
+    return SwfValue.interval(partial + lo, partial + hi, evidence=((n, partial),))
+
+
+def _tail_bounds(x: Stream, delta: Fraction):
+    """(n, delta^n) -> exact (lo, hi) bounds on the sum of delta^(t-1) * x_t
+    over t > n, or None when x has no structural value bound."""
+    geo = 1 / (1 - delta)
+    if isinstance(x, RankFill):
+        # Off the fill set x_t = count(Compl(U), t) + 1, which lies in
+        # [2, t + 1].  At t = n + 1 + k, max(fill, t + 1) <= max(fill, n + 2) + k,
+        # and the sum over k >= 0 of delta^k * k is delta * geo^2.
+        vmin = min(x.fill, 2)
+        return lambda n, dn: (vmin * dn * geo, dn * (max(x.fill, n + 2) + delta * geo) * geo)
     bounds = _value_bounds(x)
     if bounds is None:
-        raise SwfError("stream has no structural value bound; series may diverge")
+        return None
     vmin, vmax = bounds
-    scale = delta / (1 - delta)  # tail factor at n: delta^n / (1 - delta), n >= 1
-    n = 1
-    dn = delta
-    while (vmax - vmin) * dn / (1 - delta) > tol:
-        n += 1
-        dn *= delta
-    partial = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, n), 1))
-    tail_lo = vmin * dn / (1 - delta)
-    tail_hi = vmax * dn / (1 - delta)
-    return SwfValue.interval(partial + tail_lo, partial + tail_hi, evidence=((n, partial),))
+    return lambda n, dn: (vmin * dn * geo, vmax * dn * geo)
 
 
 def min_swf(x: Stream) -> SwfValue:

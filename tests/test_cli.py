@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,36 @@ def test_factorial_period_pair_is_decided(axiom):
         assert r["consistent"] is True
     else:
         assert r["status"] == "holds"
+
+
+def test_pareto_on_a_literal_strict_set_beyond_the_horizon():
+    # The strict set finite{7000} has no element below the horizon 5040, but
+    # a literal nonempty set needs no scan.
+    code, report, _ = run_json(["compare", "--axiom", "pareto", "--x",
+                                "piecewise(default=0;finite{7000}:1)", "--y", "const(0)"])
+    assert code == 0 and report["results"]["status"] == "holds"
+
+
+def test_suppes_sen_with_factorials_meeting_a_period():
+    # The strict set is factorials meeting ap(1,1000), which is {1}: the
+    # difference window ends at its exact maximum, not at 999!.
+    code, report, _ = run_json(["compare", "--axiom", "suppes_sen", "--x",
+                                "piecewise(default=1;inter(factorials(nat),ap(1,1000)):2)",
+                                "--y", "const(1)"])
+    assert code == 0
+    r = report["results"]
+    assert r["status"] == "holds" and r["witness"]["strict_set"] == "finite{1}"
+
+
+def test_swf_discounted_rank_fill_converges():
+    code, report, _ = run_json(["swf", "--which", "discounted", "--delta", "1/2",
+                                "--x", "rankfill(ap(1,2))"])
+    assert code == 0
+    r = report["results"]
+    lo, hi = Fraction(r["lo"]), Fraction(r["hi"])
+    assert r["kind"] == "interval" and 0 < hi - lo <= Fraction(1, 10**9)
+    # 1 at odd t, k + 1 at t = 2k: 4/3 + 2 * (4/9 + 1/3) = 26/9.
+    assert lo <= Fraction(26, 9) <= hi
 
 
 def test_swf_cesaro():

@@ -34,7 +34,7 @@ from densitylab.indexsets import (
 )
 
 from densitylab.dsl import parse_set
-from densitylab.verification import membership_mask, random_decidable_set
+from densitylab.verification import membership_mask, random_decidable_set, random_periodic_set
 
 FACTS = FactorialPoints(NAT)
 
@@ -187,7 +187,8 @@ def test_factorials_meet_residue_classes():
     # n! is divisible by d for n >= d, so factorials eventually sit in the
     # zero class: infinitely many in ap(d,d), finitely many elsewhere.
     assert finiteness(Inter(FACTS, ArithProg(3, 3))) is INFINITE
-    assert finiteness(Inter(FACTS, ArithProg(1, 3))) == 2
+    # The exact maximum: 1! = 1 is 1 mod 3, 2! = 2 is not, and 3! on are 0.
+    assert finiteness(Inter(FACTS, ArithProg(1, 3))) == 1
     assert finiteness(Diff(FACTS, ArithProg(3, 3))) == 2
 
 
@@ -216,14 +217,45 @@ def test_finiteness_bound_holds_against_the_mask():
         a, b = random_decidable_set(rng, depth=1), random_decidable_set(rng, depth=1)
         sets += [Inter(FactorialPoints(a), b), Diff(FactorialPoints(a), b),
                  Inter(FactorialPoints(a), FactorialPoints(b)), Union(FactorialPoints(a), b)]
-    bounded = 0
+    # Factorial points over infinite bases meeting periodic sets, on their own
+    # generator so that the draws above stay as they were.
+    rng = random.Random(16)
+    for _ in range(100):
+        a, p = random_periodic_set(rng), random_periodic_set(rng)
+        base = Union(a, ArithProg(rng.randint(1, 9), rng.randint(2, 9)))
+        sets += [Inter(FactorialPoints(base), p), Diff(FactorialPoints(base), p)]
+    bounded = tight = 0
     for s in sets:
         b = finiteness(s)
         if isinstance(b, int) and b <= 10**6:
             bounded += 1
             mask = membership_mask(s, b + 5040)
             assert not mask[b:].any(), (s, b)
+            if _factorials_meet_periodic(s):
+                # The bound of this rule is the exact maximum (0: s is empty).
+                tight += 1
+                assert mask[b - 1] if b else not mask.any(), (s, b)
     assert bounded > 100
+    assert tight > 25
+
+
+def _factorials_meet_periodic(s):
+    """Whether finiteness(s) is FactorialPoints over an infinite base meeting
+    an infinite eventually periodic set."""
+    if not isinstance(s, (Inter, Diff)) or periodic_profile(s) is not None:
+        return False
+    left, right = s.left, s.right if isinstance(s, Inter) else Compl(s.right)
+    return (isinstance(left, FactorialPoints) and finiteness(left.base) is INFINITE
+            and periodic_profile(right) is not None and finiteness(right) is INFINITE)
+
+
+def test_factorials_meeting_a_period_have_an_exact_maximum():
+    assert finiteness(Inter(FACTS, ArithProg(1, 1000))) == 1
+    assert finiteness(Inter(FACTS, ArithProg(2, 4))) == 6
+    assert finiteness(Inter(FactorialPoints(ArithProg(2, 2)), ArithProg(1, 5))) == 0
+    # Below the profile start, j! is tested against the set itself.
+    assert finiteness(Inter(FACTS, Union(ArithProg(2, 7), Finite((5040,))))) == 5040
+    assert finiteness(Inter(FACTS, Union(ArithProg(2, 7), Finite((5041,))))) == 2
 
 
 def test_emptiness_and_disjointness():
@@ -234,6 +266,15 @@ def test_emptiness_and_disjointness():
     assert provably_disjoint(Inter(ArithProg(1, 2), FACTS), ArithProg(2, 2))
     assert provably_nonempty(FACTS)
     assert provably_disjoint(FactorialPoints(ArithProg(1, 3)), FactorialPoints(ArithProg(2, 3)))
+
+
+def test_literal_sets_are_nonempty_past_the_probe():
+    assert provably_nonempty(Finite((7000,)))
+    assert provably_nonempty(Interval(6000, 6010))
+    assert provably_nonempty(ArithProg(9000, 7))
+    assert provably_nonempty(Union(Compl(NAT), Finite((9000,))), probe=10)
+    assert not provably_nonempty(Finite(()))
+    assert not provably_nonempty(Inter(Finite((7000,)), ArithProg(2, 2)))
 
 
 def test_nth_element_on_factorials_meeting_a_period():

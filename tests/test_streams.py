@@ -86,6 +86,45 @@ def test_prefix_agrees_with_eval():
         assert prefix(x, 7) == expected[:7]  # a walk that stops inside the bound
 
 
+def _typed(vs):
+    return [(v, type(v)) for v in vs]
+
+
+def test_value_contract_ranks_are_ints():
+    # values, prefix and eval_at agree on each value and on its type: an int
+    # at a rank coordinate, a Fraction everywhere else.
+    fill_on = Union(ArithProg(3, 4), FactorialPoints(Finite((1, 2, 3, 4))))
+    truncated = RankFill(Compl(Interval(5, 20)), fill=Fraction(1, 2), truncated=True)
+    cases = [
+        RankFill(fill_on),
+        RankFill(fill_on, fill=Fraction(5, 2)),
+        truncated,
+        apply_permutation(RankFill(fill_on), FinitePermutation.cycle([2, 9, 4, 30])),
+        Piecewise(2, ((ArithProg(2, 3), Fraction(9)), (Finite((7,)), Fraction(-1, 3)))),
+    ]
+    for x in cases:
+        expected = _typed(eval_at(x, t) for t in range(1, 61))
+        assert _typed(prefix(x, 60)) == _typed(values(x, 60)) == expected
+    for x in cases[:3]:
+        for t in range(1, 61):
+            v = eval_at(x, t)
+            assert type(v) is (Fraction if member(x.fill_on, t) else int), (x, t)
+    assert {type(v) for v in prefix(cases[-1], 60)} == {Fraction}
+
+
+def test_long_scan_prefix_stream_matches_the_mask():
+    # The rank-fill prefix stream of the long_scan workload, against ranks
+    # computed from membership_mask, which shares no code with the walk.
+    n = 40320
+    fill_on = FactorialPoints(Finite((2, 8, 9, 10)))
+    mask = membership_mask(fill_on, n)
+    ranks = np.cumsum(~mask) + 1
+    reference = [1 if m else int(r) for m, r in zip(mask, ranks)]
+    got = prefix(RankFill(fill_on), n)
+    assert got == reference
+    assert all(type(v) is (Fraction if m else int) for v, m in zip(got, mask))
+
+
 def test_walk_raises_overlap_where_eval_does():
     # The clauses pass the construction check and first collide at 8! = 40320.
     x = Piecewise(0, ((FactorialPoints(ArithProg(8, 2)), Fraction(1)),

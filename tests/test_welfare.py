@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from densitylab.indexsets import (
     NAT,
     ArithProg,
+    Compl,
     Diff,
     FactorialPoints,
     Finite,
@@ -30,6 +32,7 @@ from densitylab.welfare import (
     liminf_swf,
     min_swf,
 )
+from densitylab.verification import membership_mask
 
 FACTS = FactorialPoints(NAT)
 EVENS_INDICATOR = Piecewise(0, ((ArithProg(2, 2), Fraction(1)),))
@@ -141,9 +144,34 @@ def test_discounted_sum_bounded_nonperiodic_interval():
     assert v.lo <= series <= v.hi
 
 
+def test_discounted_sum_of_rank_fill_encloses_the_series():
+    # Ranks are unbounded but grow at most linearly, so the series converges.
+    # The interval must contain the enclosure from a brute-force partial sum
+    # to N (ranks from membership_mask) and that sum's tail bound: on t > N
+    # the values lie in [min(fill, 2), max(fill, t + 1)].
+    tol = Fraction(1, 10**9)
+    for x in (RankFill(FACTS), RankFill(ArithProg(1, 2)),
+              RankFill(ArithProg(1, 2), Fraction(5, 2)), RankFill(Compl(FACTS), Fraction(-3))):
+        for delta in (Fraction(1, 2), Fraction(9, 10)):
+            v = discounted_sum(x, delta, tol=tol)
+            assert v.kind == "interval" and v.hi - v.lo <= tol
+            n = 800
+            mask = membership_mask(x.fill_on, n)
+            ranks = np.cumsum(~mask) + 1
+            partial = sum(delta ** (t - 1) * (x.fill if m else int(r))
+                          for t, (m, r) in enumerate(zip(mask, ranks), 1))
+            geo = 1 / (1 - delta)
+            tail_lo = min(x.fill, 2) * delta**n * geo
+            # sum over t > n of delta^(t-1) * (t + 1), with fill <= n + 2
+            tail_hi = delta**n * ((n + 2) * geo + delta * geo**2)
+            assert v.lo <= partial + tail_lo < partial + tail_hi <= v.hi, (x, delta)
+
+
 def test_discounted_sum_rejects_unbounded_streams():
+    # A permuted rank-fill still has no structural tail bound.
     with pytest.raises(SwfError):
-        discounted_sum(RankFill(FACTS), Fraction(1, 2))
+        discounted_sum(apply_permutation(RankFill(FACTS), FinitePermutation.swap(1, 3)),
+                       Fraction(1, 2))
 
 
 def test_discounted_sum_validates_delta():
