@@ -229,8 +229,8 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
 
     On a run the value at t is v + slope * (t - lo), with slope 0 (a
     constant, v a Fraction) or 1 (consecutive ranks, v the int rank at
-    lo).  Runs come in order, cover 1..n
-    and are built lazily from the ``segments`` of the stream's sets.  Every
+    lo).  Runs come in order, cover 1..n and are built lazily from the
+    ``segments`` of the stream's sets.  Every
     value equals ``eval_at(x, t)``: a piecewise overlap raises eval_at's
     OverlapError at the first shared coordinate, and a set that
     ``intervals`` cannot enumerate is walked by ``member``, one coordinate
