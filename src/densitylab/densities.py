@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .indexsets import (
-    DEFAULT_HORIZON,
     Compl,
     Diff,
     FactorialIntervals,
@@ -26,7 +25,6 @@ from .indexsets import (
     Inter,
     Union,
     count,
-    elements_up_to,
     is_finite,
     periodic_profile,
     provably_disjoint,
@@ -34,7 +32,6 @@ from .indexsets import (
 
 __all__ = [
     "DensityResult",
-    "UndecidedError",
     "exact_density",
     "density",
     "checkpoint_schedule",
@@ -46,15 +43,6 @@ DEFAULT_CHECKPOINT_MAX = math.factorial(10)
 
 _ZERO = (Fraction(0), Fraction(0))
 _ONE = (Fraction(1), Fraction(1))
-
-
-class UndecidedError(Exception):
-    """A query left the decidable fragment and horizon evidence is inconclusive."""
-
-    def __init__(self, message, witnesses=(), horizon=None):
-        super().__init__(message)
-        self.witnesses = tuple(witnesses)
-        self.horizon = horizon
 
 
 @dataclass(frozen=True)
@@ -321,17 +309,11 @@ def _strip_finite_parts(s: IndexSet) -> IndexSet:
     return s
 
 
-def sym_diff_finite(a: IndexSet, b: IndexSet, horizon: int = DEFAULT_HORIZON) -> bool:
-    """Decide structurally whether |A symmetric-difference B| is finite.
-
-    True and False are proofs.  When neither a structural proof nor a
-    disproof (distinct eventual residue patterns, distinct exact densities)
-    exists, the sets are scanned up to ``horizon`` and UndecidedError is
-    raised carrying the witnessed difference coordinates.
-    """
-    if a == b:
-        return True
-    if _strip_finite_parts(a) == _strip_finite_parts(b):
+def sym_diff_finite(a: IndexSet, b: IndexSet) -> bool | None:
+    """Whether |A symmetric-difference B| is finite: True or False with a
+    structural proof (equal sets up to finite parts; distinct eventual
+    residue patterns or exact densities), None when undecided."""
+    if a == b or _strip_finite_parts(a) == _strip_finite_parts(b):
         return True
     pa = periodic_profile(a)
     pb = periodic_profile(b)
@@ -344,10 +326,4 @@ def sym_diff_finite(a: IndexSet, b: IndexSet, horizon: int = DEFAULT_HORIZON) ->
     db = exact_density(b)
     if da is not None and db is not None and da != db:
         return False
-    witnesses = tuple(elements_up_to(Union(Diff(a, b), Diff(b, a)), horizon))
-    raise UndecidedError(
-        f"symmetric difference not structurally decidable; "
-        f"{len(witnesses)} differing coordinates up to {horizon}",
-        witnesses=witnesses,
-        horizon=horizon,
-    )
+    return None

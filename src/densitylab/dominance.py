@@ -18,7 +18,6 @@ from . import verdicts
 from .densities import contains_long_intervals, density, exact_density
 from .indexsets import (
     INFINITE,
-    NAT,
     Diff,
     Finite,
     Inter,
@@ -29,24 +28,19 @@ from .indexsets import (
     is_finite,
     nth_element,
     periodic_profile,
-    provably_disjoint,
     provably_empty,
     provably_nonempty,
 )
 from .streams import (
     DEFAULT_HORIZON,
-    Piecewise,
+    PairAnalysis,
     RankFill,
     Stream,
-    Undecided,
-    _regions,
+    _inter,
     eval_at,
-    nonstrict_set,
     pair_runs,
     prefix,
     scan_pair,
-    strict_set,
-    weakly_dominates,
 )
 from .verdicts import RelationVerdict, Status
 
@@ -99,161 +93,168 @@ def _finiteness(s):
     return None
 
 
-def _weak_gate(x: Stream, y: Stream, horizon: int):
-    """Common precondition x >= y; a scan counterexample short-circuits."""
-    w = weakly_dominates(x, y, horizon)
-    if w.status is Status.FAILS:
-        return w, None
-    return w, strict_set(x, y, horizon)
-
-
-def _gated(weak: RelationVerdict, strict_verdict: RelationVerdict, horizon: int) -> RelationVerdict:
-    """Cap a Holds at Undecided when weak dominance is itself unproven."""
-    if strict_verdict.status is Status.HOLDS and not weak.holds:
+def _gate(name: str, a: PairAnalysis) -> RelationVerdict:
+    """Predicate ``name`` on the pair behind the common precondition x >= y:
+    its failure is the verdict, and a Holds stands only where weak dominance
+    is proven."""
+    weak = a.weak
+    if weak.status is Status.FAILS:
+        return weak
+    v = _RULES[name](a)
+    if v.holds and not weak.holds:
         return verdicts.undecided(
-            horizon=horizon,
+            horizon=a.horizon,
             note="strict-set condition met but weak dominance is unproven beyond the horizon",
         )
-    return strict_verdict
+    return v
+
+
+def _witnessed(s) -> RelationVerdict:
+    return verdicts.holds(witness_set=s, witness_density=density(s))
+
+
+def _pareto(a: PairAnalysis) -> RelationVerdict:
+    s = a.strict
+    if s is None:
+        t = a.first_strict
+        if t is None:
+            return verdicts.undecided(horizon=a.horizon, note="no strict coordinate scanned")
+        return verdicts.holds(witness_set=Finite((t,)), note=f"strict at t={t} (scan)")
+    if _finiteness(s) is INFINITE or provably_nonempty(s, a.horizon):
+        return _witnessed(s)
+    if provably_empty(s):
+        return verdicts.fails(note="strict set is provably empty")
+    return verdicts.undecided(horizon=a.horizon, note="strict set not provably nonempty")
+
+
+def _infinite(a: PairAnalysis) -> RelationVerdict:
+    s = a.strict
+    if s is None:
+        return verdicts.undecided(horizon=a.horizon, note="infinitude is not scan-decidable")
+    f = _finiteness(s)
+    if f is INFINITE:
+        return _witnessed(s)
+    if f is not None:
+        return verdicts.fails(note="strict set is structurally finite")
+    return verdicts.undecided(horizon=a.horizon, note="infinitude of the strict set is undecided")
+
+
+def _by_density(check, what: str):
+    def rule(a: PairAnalysis) -> RelationVerdict:
+        s = a.strict
+        if s is None:
+            return verdicts.undecided(horizon=a.horizon, note="density is not scan-decidable")
+        d = density(s)
+        if not d.exact:
+            return verdicts.undecided(
+                horizon=a.horizon, note="strict set is outside the exact-density fragment"
+            )
+        if check(d):
+            return verdicts.holds(witness_set=s, witness_density=d)
+        return verdicts.fails(note=f"strict set has {what} (exact)")
+
+    return rule
+
+
+def _almost_weak(a: PairAnalysis) -> RelationVerdict:
+    ns = a.nonstrict
+    if ns is None:
+        return verdicts.undecided(horizon=a.horizon, note="cofiniteness is not scan-decidable")
+    f = _finiteness(ns)
+    if isinstance(f, int):
+        return _witnessed(a.strict)
+    if f is INFINITE:
+        return verdicts.fails(note="infinitely many coordinates are not strictly improved")
+    return verdicts.undecided(horizon=a.horizon, note="cofiniteness of the strict set is undecided")
+
+
+def _weak(a: PairAnalysis) -> RelationVerdict:
+    ns = a.nonstrict
+    if ns is None:
+        t = a.first_nonstrict
+        if t is not None:
+            return verdicts.fails(counterexample=t)
+        return verdicts.undecided(horizon=a.horizon, note="all scanned coordinates strict")
+    if provably_empty(ns):
+        return _witnessed(a.strict)
+    if count(ns, a.horizon) > 0:
+        return verdicts.fails(counterexample=nth_element(ns, 1))
+    return verdicts.undecided(horizon=a.horizon, note="no non-strict coordinate exhibited")
+
+
+def _uniform(a: PairAnalysis) -> RelationVerdict:
+    if a.equal:
+        return verdicts.fails(counterexample=1, note="identical streams have zero gap")
+    pairs = a.pairs()
+    if pairs is None:
+        # x >= y through the horizon here, so the first non-strict coordinate is a zero gap.
+        t = a.first_nonstrict
+        if t is not None:
+            return verdicts.fails(counterexample=t)
+        return verdicts.undecided(horizon=a.horizon, note="positive gaps scanned, infimum unproven")
+    gaps = [vx - vy for _, vx, _, vy in pairs]
+    if gaps and min(gaps) > 0:
+        return verdicts.holds(note=f"minimum clause gap {min(gaps)}")
+    for rx, vx, ry, vy in pairs:
+        if vx <= vy:
+            inter = _inter(rx, ry)
+            if count(inter, a.horizon) > 0:
+                return verdicts.fails(counterexample=nth_element(inter, 1))
+    return verdicts.undecided(horizon=a.horizon, note="zero-gap clause pair, emptiness unproven")
+
+
+# The eight predicates, strongest premise first: each is a condition on the
+# pair analysis behind the one weak gate.
+_RULES = {
+    "uniform": _uniform,
+    "weak": _weak,
+    "almost_weak": _almost_weak,
+    "density_one": _by_density(lambda d: d.lower == 1 and d.upper == 1, "density below one"),
+    "lower": _by_density(lambda d: d.lower > 0, "lower density 0"),
+    "upper": _by_density(lambda d: d.upper > 0, "upper density 0"),
+    "infinite": _infinite,
+    "pareto": _pareto,
+}
 
 
 def pareto_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y with at least one strictly improved coordinate."""
-    weak, s = _weak_gate(x, y, horizon)
-    if s is None:
-        return weak
-    if isinstance(s, Undecided):
-        if s.witnesses:
-            v = verdicts.holds(
-                witness_set=Finite((s.witnesses[0],)),
-                note=f"strict at t={s.witnesses[0]} (scan)",
-            )
-            return _gated(weak, v, horizon)
-        return verdicts.undecided(horizon=horizon, note="no strict coordinate scanned")
-    if _finiteness(s) is INFINITE or provably_nonempty(s, horizon):
-        return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if provably_empty(s):
-        return verdicts.fails(note="strict set is provably empty")
-    return verdicts.undecided(horizon=horizon, note="strict set not provably nonempty")
+    return _gate("pareto", PairAnalysis(x, y, horizon))
 
 
 def infinite_pareto_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y with infinitely many strictly improved coordinates."""
-    weak, s = _weak_gate(x, y, horizon)
-    if s is None:
-        return weak
-    if isinstance(s, Undecided):
-        return verdicts.undecided(horizon=horizon, note="infinitude is not scan-decidable")
-    f = _finiteness(s)
-    if f is INFINITE:
-        return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if f is not None:
-        return verdicts.fails(note="strict set is structurally finite")
-    return verdicts.undecided(horizon=horizon, note="infinitude of the strict set is undecided")
-
-
-def _density_predicate(x, y, horizon, check, what):
-    weak, s = _weak_gate(x, y, horizon)
-    if s is None:
-        return weak
-    if isinstance(s, Undecided):
-        return verdicts.undecided(horizon=horizon, note="density is not scan-decidable")
-    d = density(s)
-    if not d.exact:
-        return verdicts.undecided(
-            horizon=horizon, note="strict set is outside the exact-density fragment"
-        )
-    if check(d):
-        return _gated(weak, verdicts.holds(witness_set=s, witness_density=d), horizon)
-    return verdicts.fails(note=f"strict set has {what} (exact)")
+    return _gate("infinite", PairAnalysis(x, y, horizon))
 
 
 def upper_asym_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y and the strict set has positive upper asymptotic density."""
-    return _density_predicate(x, y, horizon, lambda d: d.upper > 0, "upper density 0")
+    return _gate("upper", PairAnalysis(x, y, horizon))
 
 
 def lower_asym_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y and the strict set has positive lower asymptotic density."""
-    return _density_predicate(x, y, horizon, lambda d: d.lower > 0, "lower density 0")
+    return _gate("lower", PairAnalysis(x, y, horizon))
 
 
 def density_one_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y and the strict set has asymptotic density exactly one."""
-    return _density_predicate(
-        x, y, horizon, lambda d: d.lower == 1 and d.upper == 1, "density below one"
-    )
+    return _gate("density_one", PairAnalysis(x, y, horizon))
 
 
 def almost_weak_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """x >= y with all but finitely many coordinates strictly improved."""
-    weak = weakly_dominates(x, y, horizon)
-    if weak.status is Status.FAILS:
-        return weak
-    ns = nonstrict_set(x, y, horizon)
-    if isinstance(ns, Undecided):
-        return verdicts.undecided(horizon=horizon, note="cofiniteness is not scan-decidable")
-    f = _finiteness(ns)
-    if isinstance(f, int):
-        s = strict_set(x, y, horizon)
-        return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if f is INFINITE:
-        return verdicts.fails(note="infinitely many coordinates are not strictly improved")
-    return verdicts.undecided(horizon=horizon, note="cofiniteness of the strict set is undecided")
+    return _gate("almost_weak", PairAnalysis(x, y, horizon))
 
 
 def weak_pareto_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """Every coordinate strictly improved."""
-    weak = weakly_dominates(x, y, horizon)
-    if weak.status is Status.FAILS:
-        return weak
-    ns = nonstrict_set(x, y, horizon)
-    if isinstance(ns, Undecided):
-        if ns.witnesses:
-            return verdicts.fails(counterexample=ns.witnesses[0])
-        return verdicts.undecided(horizon=horizon, note="all scanned coordinates strict")
-    if provably_empty(ns):
-        s = strict_set(x, y, horizon)
-        return _gated(weak, verdicts.holds(witness_set=s, witness_density=density(s)), horizon)
-    if count(ns, horizon) > 0:
-        return verdicts.fails(counterexample=nth_element(ns, 1))
-    return verdicts.undecided(horizon=horizon, note="no non-strict coordinate exhibited")
+    return _gate("weak", PairAnalysis(x, y, horizon))
 
 
 def uniform_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """inf over t of (x[t] - y[t]) is strictly positive."""
-    weak = weakly_dominates(x, y, horizon)
-    if weak.status is Status.FAILS:
-        return weak
-    if x == y:
-        return verdicts.fails(counterexample=1, note="identical streams have zero gap")
-    if isinstance(x, Piecewise) and isinstance(y, Piecewise):
-        gaps = []
-        for rx, vx in _regions(x):
-            for ry, vy in _regions(y):
-                if not provably_disjoint(rx, ry):
-                    gaps.append((vx - vy, rx, ry))
-        if gaps and all(g > 0 for g, _, _ in gaps):
-            if weak.holds:
-                return verdicts.holds(note=f"minimum clause gap {min(g for g, _, _ in gaps)}")
-            return verdicts.undecided(horizon=horizon, note="weak dominance unproven")
-        for g, rx, ry in gaps:
-            if g <= 0:
-                inter = _inter_of(rx, ry)
-                if count(inter, horizon) > 0:
-                    return verdicts.fails(counterexample=nth_element(inter, 1))
-        return verdicts.undecided(horizon=horizon, note="zero-gap clause pair, emptiness unproven")
-    # x >= y through the horizon here, so the first non-strict coordinate is a zero gap.
-    violation, _ = scan_pair(x, y, horizon, expected_strict=NAT)
-    if violation:
-        return verdicts.fails(counterexample=violation[0])
-    return verdicts.undecided(horizon=horizon, note="positive gaps scanned, infimum unproven")
-
-
-def _inter_of(a, b):
-    if a == b:
-        return a
-    return Inter(a, b)
+    return _gate("uniform", PairAnalysis(x, y, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +277,9 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
     """
     if x == y:
         return verdicts.holds(note="identity permutation")
-    sxy = strict_set(x, y, horizon)
-    syx = strict_set(y, x, horizon)
-    if isinstance(sxy, Undecided) or isinstance(syx, Undecided):
+    a = PairAnalysis(x, y, horizon)
+    sxy, syx = a.strict, a.reverse
+    if sxy is None:
         return verdicts.undecided(horizon=horizon, note="difference structure not derivable")
     fxy, fyx = _finiteness(sxy), _finiteness(syx)
     if fyx is INFINITE:
@@ -349,10 +350,9 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
         u, v = x.fill_on, y.fill_on
         if is_finite(Diff(u, v)) is False or is_finite(Diff(v, u)) is False:
             return False
-    sxy = strict_set(x, y, horizon)
-    syx = strict_set(y, x, horizon)
-    if not isinstance(sxy, Undecided) and not isinstance(syx, Undecided):
-        bounds = (_finiteness(sxy), _finiteness(syx))
+    a = PairAnalysis(x, y, horizon)
+    if a.strict is not None:
+        bounds = (_finiteness(a.strict), _finiteness(a.reverse))
         if INFINITE in bounds:
             return False
         if None not in bounds and max(bounds) <= _WINDOW_CAP:
@@ -388,16 +388,7 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
 # The implication chain
 # ---------------------------------------------------------------------------
 
-CHAIN_ORDER = (
-    "uniform",
-    "weak",
-    "almost_weak",
-    "density_one",
-    "lower",
-    "upper",
-    "infinite",
-    "pareto",
-)
+CHAIN_ORDER = tuple(_RULES)
 
 DOMINANCE_PREDICATES = {
     "pareto": pareto_dominates,
@@ -429,9 +420,8 @@ def implication_chain_report(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZO
     A violation pairs a stronger predicate that holds with a weaker one
     that fails; on decidable strict sets none can occur.
     """
-    entries = tuple(
-        (name, DOMINANCE_PREDICATES[name](x, y, horizon)) for name in CHAIN_ORDER
-    )
+    a = PairAnalysis(x, y, horizon)
+    entries = tuple((name, _gate(name, a)) for name in CHAIN_ORDER)
     violations = []
     for i in range(len(entries)):
         if entries[i][1].status is not Status.HOLDS:

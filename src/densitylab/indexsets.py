@@ -847,6 +847,7 @@ def provably_empty(s: IndexSet) -> bool:
     return False
 
 
+@lru_cache(maxsize=8192)
 def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     """True only when the intersection is proven empty."""
     if provably_empty(a) or provably_empty(b):

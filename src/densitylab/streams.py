@@ -13,11 +13,13 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import chain, repeat, starmap
 
 from . import verdicts
 from .indexsets import (
     DEFAULT_HORIZON,
+    NAT,
     Compl,
     Finite,
     IndexSet,
@@ -41,7 +43,7 @@ __all__ = [
     "FinitePermutation",
     "StreamError",
     "OverlapError",
-    "Undecided",
+    "PairAnalysis",
     "constant",
     "eval_at",
     "runs",
@@ -393,19 +395,8 @@ def apply_permutation(x: Stream, perm: FinitePermutation) -> Stream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Undecided:
-    """A horizon scan in place of a structural answer."""
-
-    witnesses: tuple[int, ...]
-    horizon: int
-
-
 _EMPTY_SET = Finite(())
-
-
-def _compl(s: IndexSet) -> IndexSet:
-    return s.arg if isinstance(s, Compl) else Compl(s)
+_FULL_SET = Compl(_EMPTY_SET)
 
 
 def _regions(x: Piecewise) -> list[tuple[IndexSet, Fraction]]:
@@ -414,14 +405,11 @@ def _regions(x: Piecewise) -> list[tuple[IndexSet, Fraction]]:
     rest: IndexSet = _EMPTY_SET
     for s, _ in x.clauses:
         rest = Union(rest, s) if rest != _EMPTY_SET else s
-    regs.append((_compl(rest), x.default))
+    regs.append((rest.arg if isinstance(rest, Compl) else Compl(rest), x.default))
     return regs
 
 
-_FULL_SET = Compl(_EMPTY_SET)
-
-
-def _inter2(a: IndexSet, b: IndexSet) -> IndexSet:
+def _inter(a: IndexSet, b: IndexSet) -> IndexSet:
     if a == b or b == _FULL_SET:
         return a
     if a == _FULL_SET:
@@ -429,72 +417,116 @@ def _inter2(a: IndexSet, b: IndexSet) -> IndexSet:
     return Inter(a, b)
 
 
-def _region_set(x: Stream, y: Stream, pred, horizon: int):
-    if isinstance(x, Piecewise) and isinstance(y, Piecewise):
-        parts = [
-            _inter2(rx, ry)
-            for rx, vx in _regions(x)
-            for ry, vy in _regions(y)
-            if pred(vx, vy)
-        ]
-        if not parts:
-            return _EMPTY_SET
-        out = parts[0]
-        for p in parts[1:]:
-            out = Union(out, p)
-        return out
-    # pred depends only on the sign of x_t - y_t, so one coordinate decides each range.
-    wits = [
-        range(lo + j0, lo + j1)
-        for lo, hi, a, sa, b, sb, _ in pair_runs(x, y, horizon)
-        for j0, j1, _ in _sign_runs(a - b, sa - sb, hi - lo + 1)
-        if pred(a + sa * j0, b + sb * j0)
-    ]
-    return Undecided(witnesses=tuple(chain.from_iterable(wits)), horizon=horizon)
+def _union(parts: list[IndexSet]) -> IndexSet:
+    return reduce(Union, parts) if parts else _EMPTY_SET
 
 
-def strict_set(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON):
-    """The symbolic set {t : x[t] > y[t]}, or an Undecided scan report."""
-    if x == y:
-        return _EMPTY_SET
-    return _region_set(x, y, lambda a, b: a > b, horizon)
+class PairAnalysis:
+    """What the dominance relations ask of a pair (x, y), each part computed
+    once, on first use.
+
+    For two piecewise streams the analysis is symbolic: ``pairs`` gives the
+    co-occurring region pairs, and the strict, reverse-strict and non-strict
+    sets are unions of their intersections.  For other pairs these are None
+    (undecided), and ``first_strict`` and ``first_nonstrict`` give the first
+    such coordinate up to the horizon, each from a walk that stops there.
+    Equal streams have the empty strict sets whatever their form.
+    """
+
+    def __init__(self, x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON):
+        self.x, self.y, self.horizon = x, y, horizon
+        self.equal = x == y
+
+    @cached_property
+    def _grid(self) -> list[tuple[IndexSet, Fraction, IndexSet, Fraction]] | None:
+        """``(rx, vx, ry, vy)`` for all regions, x's outer; None unless piecewise."""
+        if not (isinstance(self.x, Piecewise) and isinstance(self.y, Piecewise)):
+            return None
+        ys = _regions(self.y)
+        return [(rx, vx, ry, vy) for rx, vx in _regions(self.x) for ry, vy in ys]
+
+    def pairs(self, keep=lambda vx, vy: True) -> list[tuple] | None:
+        """The co-occurring region pairs ``(rx, vx, ry, vy)`` whose values
+        satisfy ``keep``: those that ``provably_disjoint`` does not reject."""
+        if self._grid is None:
+            return None
+        return [p for p in self._grid if keep(p[1], p[3]) and not provably_disjoint(p[0], p[2])]
+
+    def _region_set(self, keep) -> IndexSet | None:
+        pairs = self.pairs(keep)
+        return None if pairs is None else _union([_inter(rx, ry) for rx, _, ry, _ in pairs])
+
+    @cached_property
+    def strict(self) -> IndexSet | None:
+        """{t : x_t > y_t}."""
+        return _EMPTY_SET if self.equal else self._region_set(lambda a, b: a > b)
+
+    @cached_property
+    def nonstrict(self) -> IndexSet | None:
+        """{t : x_t <= y_t}."""
+        return _FULL_SET if self.equal else self._region_set(lambda a, b: a <= b)
+
+    @cached_property
+    def reverse(self) -> IndexSet | None:
+        """{t : y_t > x_t}, nested with y's regions outer, as the strict set
+        of (y, x) is."""
+        pairs = None if self.equal else self.pairs(lambda a, b: a < b)
+        if pairs is None:
+            return self.strict
+        # y's regions are its clause sets, in order, and then its default region.
+        rank = {id(s): j for j, (s, _) in enumerate(self.y.clauses)}
+        pairs.sort(key=lambda p: rank.get(id(p[2]), len(rank)))
+        return _union([_inter(ry, rx) for rx, _, ry, _ in pairs])
+
+    @cached_property
+    def weak(self) -> RelationVerdict:
+        """Whether x_t >= y_t for all t: structural proof, scan counterexample,
+        or undecided at the horizon."""
+        x, y = self.x, self.y
+        if self.equal:
+            return verdicts.holds(note="streams are structurally equal")
+        if self._grid is not None:
+            # Only pairs with vx < vy need a disjointness proof; stop at the first without.
+            if not any(vx < vy and not provably_disjoint(rx, ry) for rx, vx, ry, vy in self._grid):
+                return verdicts.holds(
+                    note="every co-occurring region pair satisfies the value inequality")
+        elif isinstance(x, RankFill) and isinstance(y, RankFill):
+            if x.fill_on == y.fill_on and x.fill >= y.fill:
+                return verdicts.holds(note="same rank structure with a fill gap")
+        violation, _ = scan_pair(x, y, self.horizon)
+        if violation:
+            return verdicts.fails(counterexample=violation[0])
+        return verdicts.undecided(
+            horizon=self.horizon, note="no counterexample scanned and no structural proof"
+        )
+
+    @cached_property
+    def first_strict(self) -> int | None:
+        """The first t <= horizon with x_t > y_t: the first violation of y >= x."""
+        violation, _ = scan_pair(self.y, self.x, self.horizon)
+        return violation[0] if violation else None
+
+    @cached_property
+    def first_nonstrict(self) -> int | None:
+        """The first t <= horizon with x_t <= y_t: the first non-strict one."""
+        violation, _ = scan_pair(self.x, self.y, self.horizon, expected_strict=NAT)
+        return violation[0] if violation else None
 
 
-def nonstrict_set(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON):
-    """The symbolic set {t : x[t] <= y[t]}, or an Undecided scan report."""
-    if x == y:
-        return Compl(_EMPTY_SET)
-    return _region_set(x, y, lambda a, b: a <= b, horizon)
+def strict_set(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> IndexSet | None:
+    """The symbolic set {t : x[t] > y[t]}, or None when undecided."""
+    return PairAnalysis(x, y, horizon).strict
+
+
+def nonstrict_set(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> IndexSet | None:
+    """The symbolic set {t : x[t] <= y[t]}, or None when undecided."""
+    return PairAnalysis(x, y, horizon).nonstrict
 
 
 def weakly_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
     """Whether x[t] >= y[t] for all t: structural proof, scan counterexample,
-    or Undecided at the horizon."""
-    if x == y:
-        return verdicts.holds(note="streams are structurally equal")
-    proof = _weak_dominance_structural(x, y)
-    if proof:
-        return verdicts.holds(note=proof)
-    violation, _ = scan_pair(x, y, horizon)
-    if violation:
-        return verdicts.fails(counterexample=violation[0])
-    return verdicts.undecided(
-        horizon=horizon, note="no counterexample scanned and no structural proof"
-    )
-
-
-def _weak_dominance_structural(x: Stream, y: Stream) -> str | None:
-    if isinstance(x, RankFill) and isinstance(y, RankFill):
-        if x.fill_on == y.fill_on and x.fill >= y.fill:
-            return "same rank structure with a fill gap"
-        return None
-    if not (isinstance(x, Piecewise) and isinstance(y, Piecewise)):
-        return None
-    for rx, vx in _regions(x):
-        for ry, vy in _regions(y):
-            if vx < vy and not provably_disjoint(rx, ry):
-                return None
-    return "every co-occurring region pair satisfies the value inequality"
+    or undecided at the horizon."""
+    return PairAnalysis(x, y, horizon).weak
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_chain_report_shape():
     assert report.consistent
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_clause_pairs_are_decided(k):
     # Both streams equal i on factorials(ap(i, k+1)); elsewhere x = 9 > y = 0.
     # The clause sets are disjoint because n -> n! is injective.
@@ -286,3 +286,26 @@ def test_clause_pairs_are_decided(k):
     by_name = {name: v.status for name, v in report.entries}
     assert by_name["almost_weak"] is Status.FAILS and by_name["density_one"] is Status.HOLDS
     assert Status.UNDECIDED not in by_name.values()
+
+
+def test_rank_fill_pairs_are_walked_once_per_question(monkeypatch):
+    # The pair analysis walks a non-piecewise pair at most three times: for
+    # weak dominance, the first strict and the first non-strict coordinate.
+    import densitylab.streams as streams
+
+    walks = []
+    pair_runs = streams.pair_runs
+    monkeypatch.setattr(streams, "pair_runs", lambda *a, **k: walks.append(a) or pair_runs(*a, **k))
+    u = FactorialPoints(Finite((1, 2, 3, 4, 7)))
+    pairs = [(RankFill(Diff(u, Finite((1,)))), RankFill(u)),
+             (RankFill(u, Fraction(2)), RankFill(u)),
+             (RankFill(ArithProg(1, 2)), RankFill(ArithProg(2, 2)))]
+    for x, y in pairs:
+        walks.clear()
+        implication_chain_report(x, y)
+        assert len(walks) <= 3
+        # Neither relation scans for strict sets that a rank-fill pair cannot have.
+        walks.clear()
+        anonymity_equivalent(x, y)
+        suppes_sen_compare(x, y)
+        assert walks == []

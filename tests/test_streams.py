@@ -25,8 +25,8 @@ from densitylab.streams import (
     OverlapError,
     Piecewise,
     RankFill,
+    PairAnalysis,
     StreamError,
-    Undecided,
     apply_permutation,
     constant,
     eval_at,
@@ -46,6 +46,7 @@ from densitylab.verification import (
     random_chain_pair,
     random_decidable_set,
     random_periodic_set,
+    random_window_pair,
 )
 from densitylab.welfare import cesaro_liminf
 
@@ -205,12 +206,20 @@ def test_strict_set_reflexive_empty():
     assert strict_set(X_REF, X_REF) == Finite(())
 
 
+def _ref_first(xs, ys, pred):
+    return next((t for t, a, b in zip(range(1, len(xs) + 1), xs, ys) if pred(a, b)), None)
+
+
 def test_strict_set_scan_for_rank_fills():
-    u = strict_set(Z_REF, X_REF, horizon=5040)
-    assert isinstance(u, Undecided)
-    facts = {1, 2, 6, 24, 5040}
-    expected = {1} | {t for t in range(2, 5041) if t not in facts}
-    assert set(u.witnesses) == expected
+    assert strict_set(Z_REF, X_REF, horizon=5040) is None
+    for x, y in ((Z_REF, X_REF), (X_REF, Z_REF), (RankFill(U_REF, fill=Fraction(2)), X_REF)):
+        a = PairAnalysis(x, y, 5040)
+        assert a.strict is a.reverse is a.nonstrict is None
+        xs, ys = prefix(x, 5040), prefix(y, 5040)
+        assert a.first_strict == _ref_first(xs, ys, lambda p, q: p > q)
+        assert a.first_nonstrict == _ref_first(xs, ys, lambda p, q: p <= q)
+    # Z exceeds X at t = 1 and first meets it at the factorial t = 2.
+    assert (PairAnalysis(Z_REF, X_REF).first_strict, PairAnalysis(Z_REF, X_REF).first_nonstrict) == (1, 2)
 
 
 def test_strict_and_reverse_strict_disjoint():
@@ -221,6 +230,26 @@ def test_strict_and_reverse_strict_disjoint():
     from densitylab.indexsets import provably_disjoint
 
     assert provably_disjoint(s, r)
+
+
+def _residue_stream(rng):
+    d = rng.choice((2, 3, 4, 6))
+    residues = rng.sample(range(1, d + 1), rng.randint(1, d))  # clause order shuffled
+    return Piecewise(rng.randint(0, 3), tuple((ArithProg(r, d), Fraction(rng.randint(0, 3)))
+                                              for r in residues))
+
+
+def test_reverse_is_the_strict_set_of_the_swapped_pair():
+    rng = random.Random(17)
+    for k in range(90):
+        if k % 3 == 0:
+            x, y = random_chain_pair(rng)
+        elif k % 3 == 1:
+            x, y, _ = random_window_pair(rng)
+        else:
+            x, y = _residue_stream(rng), _residue_stream(rng)
+        for a, b in ((x, y), (y, x)):
+            assert PairAnalysis(a, b).reverse == strict_set(b, a)
 
 
 def test_nonstrict_complements_strict_pointwise():
@@ -376,11 +405,10 @@ def test_run_walk_matches_per_coordinate_reference():
                                Compl(Finite(())), Finite(())])
         assert scan_pair(x, y, n) == _ref_scan(xs, ys)
         assert scan_pair(x, y, n, expected) == _ref_scan(xs, ys, expected)
-        for region, pred in ((strict_set, lambda a, b: a > b), (nonstrict_set, lambda a, b: a <= b)):
-            r = region(x, y, n)
-            if isinstance(r, Undecided):
-                assert r.witnesses == tuple(t for t, a, b in zip(range(1, n + 1), xs, ys)
-                                            if pred(a, b))
+        a = PairAnalysis(x, y, n)
+        if a.strict is None:
+            assert a.first_strict == _ref_first(xs, ys, lambda p, q: p > q)
+            assert a.first_nonstrict == _ref_first(xs, ys, lambda p, q: p <= q)
         rank_pair = isinstance(x, RankFill) and isinstance(y, RankFill)
         structural = (isinstance(x, Piecewise) and isinstance(y, Piecewise)) or rank_pair and (
             is_finite(Diff(x.fill_on, y.fill_on)) is False
