@@ -2,9 +2,9 @@
 
 A verdict never guesses: Holds carries a structural witness, Fails carries
 a concrete counterexample coordinate, and exhausting a scan horizon yields
-Undecided.  ``Status.UNDECIDED`` is the one undecided form of a verdict;
-set-level answers (a strict set, a finiteness bound, a symmetric difference)
-are None when undecided.
+``Status.UNDECIDED``, the one undecided form of a verdict.  Set-level
+answers (a strict set, a finiteness bound, a symmetric difference) are None
+when undecided.
 """
 
 from __future__ import annotations
