@@ -18,6 +18,7 @@ from . import verdicts
 from .densities import contains_long_intervals, density, exact_density
 from .indexsets import (
     INFINITE,
+    NAT,
     Diff,
     Finite,
     Inter,
@@ -145,6 +146,8 @@ def _by_density(check, what: str):
         if s is None:
             return verdicts.undecided(horizon=a.horizon, note="density is not scan-decidable")
         d = density(s)
+        if not d.exact and provably_empty(a.nonstrict):
+            d = density(NAT)  # every coordinate is strictly improved
         if not d.exact:
             return verdicts.undecided(
                 horizon=a.horizon, note="strict set is outside the exact-density fragment"

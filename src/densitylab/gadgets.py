@@ -45,6 +45,7 @@ from .streams import (
     FinitePermutation,
     RankFill,
     Stream,
+    Value,
     apply_permutation,
     eval_at,
     prefix,
@@ -539,6 +540,21 @@ class LinkReport:
     certificate: BlockDensityCertificate | None = None
 
 
+def _sorted_matching(moved: list[Value], fixed: list[Value], a: int) -> FinitePermutation:
+    """The permutation of [1, len(moved)] that takes, on the window from a,
+    the k-th largest value of ``moved`` to the position of the k-th largest
+    of ``fixed``, ties in position order; the identity below a."""
+    # 0-based window coordinates, largest value first: the sort is stable
+    # under reverse=True, so ties keep their position order.
+    window = range(a - 1, len(moved))
+    positions = sorted(window, key=fixed.__getitem__, reverse=True)
+    origins = sorted(window, key=moved.__getitem__, reverse=True)
+    images = list(range(1, len(moved) + 1))
+    for pos, org in zip(positions, origins):
+        images[pos] = org + 1
+    return FinitePermutation(len(moved), tuple(images))
+
+
 def _rearranged_dominance(
     low: Stream,
     high: Stream,
@@ -574,24 +590,14 @@ def _rearranged_dominance(
                 note=f"rearrangement window end {b} is beyond the determined prefix {scan_to}",
             ),
         )
-    lows = prefix(low, b)
-    highs = prefix(high, b)
-    idx = list(range(a, b + 1))
+    lows, highs = prefix(low, b), prefix(high, b)
     if permute == "low":
-        positions = sorted(idx, key=lambda t: (-highs[t - 1], t))
-        origins = sorted(idx, key=lambda t: (-lows[t - 1], t))
+        pi = _sorted_matching(lows, highs, a)
+        low = apply_permutation(low, pi)
     else:
-        positions = sorted(idx, key=lambda t: (-lows[t - 1], t))
-        origins = sorted(idx, key=lambda t: (-highs[t - 1], t))
-    images = list(range(1, b + 1))
-    for pos, org in zip(positions, origins):
-        images[pos - 1] = org
-    pi = FinitePermutation(b, tuple(images))
-    if permute == "low":
-        low2, high2 = apply_permutation(low, pi), high
-    else:
-        low2, high2 = low, apply_permutation(high, pi)
-    violation, strict_seen = scan_pair(high2, low2, scan_to)
+        pi = _sorted_matching(highs, lows, a)
+        high = apply_permutation(high, pi)
+    violation, strict_seen = scan_pair(high, low, scan_to)
     if violation:
         return LinkReport(
             name=name,

@@ -858,6 +858,8 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     if isinstance(a, FactorialPoints) and isinstance(b, FactorialPoints):
         return provably_empty(Inter(a.base, b.base))  # n -> n! is injective on n >= 1
     for x, y in ((a, b), (b, a)):
+        if isinstance(y, Compl) and x in _union_terms(y.arg):
+            return True  # x is part of the union that y complements
         if isinstance(x, Finite):
             return all(not member(y, e) for e in x.elements)
         if isinstance(x, Interval):
@@ -872,6 +874,14 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
             if provably_disjoint(x.left, y) and provably_disjoint(x.right, y):
                 return True
     return False
+
+
+def _union_terms(s: IndexSet) -> Iterator[IndexSet]:
+    """s, and the terms of both sides when s is a Union."""
+    yield s
+    if isinstance(s, Union):
+        yield from _union_terms(s.left)
+        yield from _union_terms(s.right)
 
 
 def _lists_an_element(s: IndexSet) -> bool:

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 
 from . import verdicts
 from .indexsets import (
@@ -230,8 +230,8 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
     """Coordinates 1..n as runs ``(lo, hi, v, slope)``: the one walk.
 
     On a run the value at t is v + slope * (t - lo), with slope 0 (a
-    constant, v a Fraction) or 1 (consecutive ranks, v the int rank at
-    lo).  Runs come in order, cover 1..n and are built lazily from the
+    constant: a Fraction, or one int rank) or 1 (consecutive ranks, v the
+    int rank at lo).  Runs come in order, cover 1..n and are built lazily from the
     ``segments`` of the stream's sets.  Every
     value equals ``eval_at(x, t)``: a piecewise overlap raises eval_at's
     OverlapError at the first shared coordinate, and a set that
@@ -239,7 +239,10 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
     per run, so its IndexSetError comes at the first coordinate whose
     membership cannot be decided, and not at all when the walk stops
     earlier.  A permuted walk buffers the base values up to the
-    permutation's bound, emits them as unit runs, then follows the base.
+    permutation's bound and emits the permuted values as maximal runs:
+    equal values of one type form a constant run, consecutive int ranks a
+    slope-1 run, and the last of them absorbs the base's first run past
+    the bound when it continues it.  From there on it follows the base.
     """
     if isinstance(x, Piecewise):
         yield from _piecewise_runs(x, n)
@@ -254,7 +257,7 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
     elif isinstance(x, Permuted):
         bound = x.perm.bound
         base = runs(x.base, max(n, bound))
-        head: list[Value] = []
+        head: list = [None]  # head[s] is the base value at s <= bound
         rest = None
         for lo, hi, v, slope in base:
             if hi > bound:
@@ -264,10 +267,8 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
                 rest = (lo, hi, v, slope)
                 break
             head.extend(_expand(lo, hi, v, slope))
-        for t, src in enumerate(x.perm.mapping[: max(n, 0)], 1):
-            yield t, t, head[src - 1], 0
+        yield from _maximal_runs(list(map(head.__getitem__, x.perm.mapping[: max(n, 0)])), rest)
         if rest is not None:
-            yield rest
             yield from base
     else:
         raise TypeError(f"not a stream: {x!r}")
@@ -290,6 +291,54 @@ def _piecewise_runs(x: Piecewise, n: int) -> Iterator[Run]:
         hi = min((c[1] for c in cur), default=n)
         yield t, hi, x.clauses[hits[0]][1] if hits else x.default, 0
         t = hi + 1
+
+
+def _maximal_runs(vals: list[Value], rest: Run | None) -> Iterator[Run]:
+    """The maximal runs of coordinates 1..len(vals) holding ``vals``, the
+    last extended over ``rest``, the run that follows, when it continues it."""
+    if not vals:
+        if rest is not None:
+            yield rest
+        return
+    lo, first, slope = 1, vals[0], None  # slope None: one coordinate so far
+    last = first
+    for t, v in enumerate(islice(vals, 1, None), 2):
+        # _continues(last, slope, v, None), inlined: this loop is per coordinate.
+        if v is last:
+            if slope != 1:
+                slope = 0
+                continue
+        elif type(v) is type(last):
+            if slope != 0 and type(v) is int and v == last + 1:
+                slope, last = 1, v
+                continue
+            if slope != 1 and v == last:
+                slope = 0
+                continue
+        yield lo, t - 1, first, slope or 0
+        lo, first, slope, last = t, v, None, v
+    if rest is not None:
+        s = _continues(last, slope, rest[2], None if rest[0] == rest[1] else rest[3])
+        if s is not None:
+            yield lo, rest[1], first, s
+            return
+    yield lo, len(vals), first, slope or 0
+    if rest is not None:
+        yield rest
+
+
+def _continues(last: Value, slope: int | None, v: Value, vslope: int | None) -> int | None:
+    """The slope of a run that ends at ``last`` (slope None: one coordinate
+    so far) continued by a run from v (vslope None: one coordinate), or None
+    when the two are not one run: equal values of one type are a constant
+    run, consecutive ints a rank run."""
+    if type(v) is not type(last):
+        return None
+    if slope != 1 and vslope != 1 and (v is last or v == last):
+        return 0
+    if slope != 0 and vslope != 0 and type(v) is int and v == last + 1:
+        return 1
+    return None
 
 
 def _expand(lo: int, hi: int, v: Value, slope: int) -> Iterable[Value]:

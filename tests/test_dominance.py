@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DENSE_FAMILY
+from densitylab.densities import density
 from densitylab.dominance import (
     CHAIN_ORDER,
     DOMINANCE_PREDICATES,
@@ -22,6 +23,7 @@ from densitylab.dominance import (
     upper_asym_dominates,
     weak_pareto_dominates,
 )
+from densitylab.dsl import parse_stream
 from densitylab.indexsets import (
     NAT,
     ArithProg,
@@ -36,6 +38,7 @@ from densitylab.streams import (
     RankFill,
     apply_permutation,
     constant,
+    strict_set,
 )
 from densitylab.verdicts import Status
 from densitylab.verification import brute_force_grading, random_chain_pair, random_window_pair
@@ -309,3 +312,20 @@ def test_rank_fill_pairs_are_walked_once_per_question(monkeypatch):
         anonymity_equivalent(x, y)
         suppes_sen_compare(x, y)
         assert walks == []
+
+
+def test_every_coordinate_strict_decides_the_density_predicates():
+    # y's clause is empty, so x exceeds y at every coordinate.
+    x = parse_stream("piecewise(default=2;union(diff(factorials(ap(2,1)),interval(36,47)),"
+                     "compl(ap(7,2))):3)")
+    y = parse_stream("piecewise(default=1;diff(inter(ap(8,9),ap(1,3)),interval(22,41)):2)")
+    # z's strict set against a constant, S union compl(S), has no exact density
+    # form; only the empty non-strict set shows that it is all of N.
+    z = parse_stream("piecewise(default=2;inter(fintervals[((2k-1)!,(2k)!)],ap(1,2)):3)")
+    for a, b in ((x, y), (z, constant(1))):
+        report = dict(implication_chain_report(a, b).entries)
+        assert all(v.holds for v in report.values()), report
+        for name in ("density_one", "lower", "upper"):
+            d = report[name].witness_density
+            assert d.exact and d.lower == d.upper == 1
+    assert not density(strict_set(z, constant(1))).exact

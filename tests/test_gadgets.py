@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab import gadgets
 from densitylab.gadgets import (
     GadgetError,
     block_set,
@@ -23,7 +25,7 @@ from densitylab.gadgets import (
     verify_sequence_chain,
 )
 from densitylab.indexsets import count, member
-from densitylab.streams import apply_permutation, eval_at, prefix, scan_pair
+from densitylab.streams import FinitePermutation, apply_permutation, eval_at, prefix, scan_pair
 from densitylab.verdicts import Status
 
 
@@ -328,3 +330,51 @@ def test_certificate_rows_are_exact():
 def test_invalid_case_rejected():
     with pytest.raises(GadgetError):
         build_sequence_gadget((1, 2, 3, 4), "z")
+
+
+# -- the sorted matching of rearranged links -------------------------------------
+
+
+def _reference_matching(moved, fixed, a):
+    """The matching as first written, with (-value, position) sort keys."""
+    b = len(moved)
+    idx = list(range(a, b + 1))
+    positions = sorted(idx, key=lambda t: (-fixed[t - 1], t))
+    origins = sorted(idx, key=lambda t: (-moved[t - 1], t))
+    images = list(range(1, b + 1))
+    for pos, org in zip(positions, origins):
+        images[pos - 1] = org
+    return FinitePermutation(b, tuple(images))
+
+
+def test_sorted_matching_on_the_sequence_cases(monkeypatch):
+    calls = []
+    matching = gadgets._sorted_matching
+
+    def recording(moved, fixed, a):
+        pi = matching(moved, fixed, a)
+        calls.append((moved, fixed, a, pi))
+        return pi
+
+    monkeypatch.setattr(gadgets, "_sorted_matching", recording)
+    for ts, case, m in (((1, 2, 3, 4, 5, 6, 7), "a", None), ((1, 2, 3, 4, 5, 6, 7, 8), "b", 2),
+                        ((1, 2, 3, 4, 5, 6, 9, 10), "c", None)):
+        links = verify_sequence_chain(build_sequence_gadget(ts, case, m), horizon=40320)
+        made = [l.permutation for l in links if l.permutation is not None]
+        assert made == [pi for *_, pi in calls[len(calls) - len(made):]]
+    # Case (a) has no rearranged link, and case (c)'s windows pass the cap, so
+    # the matchings are case (b)'s two.
+    assert len(calls) == 2
+    for moved, fixed, a, pi in calls:
+        assert pi == _reference_matching(moved, fixed, a)
+
+
+def test_sorted_matching_on_random_windows_with_ties():
+    rng = random.Random(18)
+    pool = [1, 2, 3, 4, Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 2)]
+    for _ in range(300):
+        b = rng.randint(1, 40)
+        moved = [rng.choice(pool) for _ in range(b)]
+        fixed = [rng.choice(pool[: rng.randint(1, len(pool))]) for _ in range(b)]
+        a = rng.randint(1, b)
+        assert gadgets._sorted_matching(moved, fixed, a) == _reference_matching(moved, fixed, a)

@@ -268,6 +268,26 @@ def test_emptiness_and_disjointness():
     assert provably_disjoint(FactorialPoints(ArithProg(1, 3)), FactorialPoints(ArithProg(2, 3)))
 
 
+def test_a_union_term_is_disjoint_from_the_complement_of_the_union():
+    a, b = FactorialPoints(ArithProg(1, 3)), FactorialPoints(ArithProg(2, 3))
+    # The clause region of the k = 2 clause pair against a default region.
+    assert provably_empty(Inter(a, Compl(Union(a, b))))
+    rng = random.Random(18)
+    n = 5040
+    for _ in range(150):
+        terms = [random_decidable_set(rng, 2) for _ in range(rng.randint(1, 4))]
+        u = terms[0]
+        for t in terms[1:]:
+            u = Union(u, t) if rng.random() < 0.5 else Union(t, u)
+        inside = rng.choice(terms + [u])
+        other = random_decidable_set(rng, 2)
+        assert provably_disjoint(inside, Compl(u)) and provably_disjoint(Compl(u), inside)
+        for x in (inside, other):
+            for left, right in ((x, Compl(u)), (Compl(u), x)):
+                if provably_disjoint(left, right):
+                    assert not (membership_mask(left, n) & membership_mask(right, n)).any()
+
+
 def test_literal_sets_are_nonempty_past_the_probe():
     assert provably_nonempty(Finite((7000,)))
     assert provably_nonempty(Interval(6000, 6010))

@@ -33,6 +33,7 @@ from densitylab.streams import (
     nonstrict_set,
     pair_runs,
     prefix,
+    runs,
     scan_pair,
     stream_profile,
     strict_set,
@@ -41,6 +42,7 @@ from densitylab.streams import (
 )
 from densitylab.dominance import anonymity_equivalent
 from densitylab.dsl import parse_set
+from densitylab.gadgets import _sorted_matching, build_sequence_gadget, verify_sequence_chain
 from densitylab.verification import (
     membership_mask,
     random_chain_pair,
@@ -488,3 +490,73 @@ def test_block_cap_walk_reaches_the_error_quickly():
         scan_pair(x, constant(0), 30000)
     assert time.perf_counter() - start < 5
     assert str(from_scan.value) == str(from_member.value)
+
+
+# -- the permuted walk yields maximal runs -------------------------------------
+
+
+def _one_run(vs):
+    """Whether the values form one run: equal values of one type, or
+    consecutive int ranks."""
+    if len({type(v) for v in vs}) != 1:
+        return False
+    return all(v == vs[0] for v in vs) or (
+        type(vs[0]) is int and vs == list(range(vs[0], vs[0] + len(vs))))
+
+
+def _expanded(run):
+    lo, hi, v, slope = run
+    return [v + slope * j for j in range(hi - lo + 1)]
+
+
+def _random_permutation(rng, base, bound):
+    kind = rng.choice(["identity", "swap", "cycle", "matching"])
+    if kind == "identity":
+        return FinitePermutation.identity(bound)
+    if kind == "swap":
+        i, j = rng.sample(range(1, bound + 1), 2)
+        return FinitePermutation.from_pairs({i: j, j: i}, bound)
+    if kind == "cycle":
+        return FinitePermutation.cycle(rng.sample(range(1, bound + 1), rng.randint(2, 6)), bound)
+    # The sorted matching of rearranged gadget links, against another stream.
+    other = _rank_fill_pair(rng)[0]
+    return _sorted_matching(prefix(base, bound), prefix(other, bound), rng.randint(1, bound))
+
+
+def test_permuted_walk_yields_maximal_runs():
+    rng = random.Random(18)
+    for k in range(150):
+        kind = k % 3
+        if kind == 0:
+            base = random_chain_pair(rng)[rng.randint(0, 1)]
+        elif kind == 1:
+            base = RankFill(_rank_fill_pair(rng)[1].fill_on)
+        else:  # fills equal to ranks that border them must stay apart by type
+            base = RankFill(_rank_fill_pair(rng)[1].fill_on, rng.choice([2, 3, Fraction(5, 2)]))
+        bound = rng.randint(2, 120)
+        x = apply_permutation(base, _random_permutation(rng, base, bound))
+        for n in (rng.randint(1, bound - 1), bound, bound + rng.randint(1, 80)):
+            assert _typed(prefix(x, n)) == _typed(eval_at(x, t) for t in range(1, n + 1))
+            got = list(runs(x, n))
+            # After the base run that crosses the bound, the walk is the base's own.
+            base_runs = list(runs(base, n))
+            crossing = next((i for i, r in enumerate(base_runs) if r[1] > bound), len(base_runs))
+            later = base_runs[crossing + 1:]
+            assert got[len(got) - len(later):] == later
+            for r1, r2 in zip(got, got[1:]):
+                if r2[0] <= bound + 1:
+                    assert not _one_run(_expanded(r1) + _expanded(r2)), (x, n, r1, r2)
+
+
+def test_rearranged_case_b_pairs_walk_in_few_pieces():
+    # Each rearranged link of lemma 2's case (b) permutes one side of its pair
+    # on a window of a few thousand coordinates; the sorted matching maps
+    # stretches of ranks onto stretches of ranks, so the pair walk stays short.
+    g = build_sequence_gadget((1, 2, 3, 4, 5, 6, 7, 8), "b", 2)
+    links = {l.name: l for l in verify_sequence_chain(g, 40320)}
+    pairs = [
+        (g.y_full, apply_permutation(g.x_sub, links["x_sub_below_y_full"].permutation)),
+        (apply_permutation(g.y_sub, links["x_full_below_y_sub"].permutation), g.x_full),
+    ]
+    for high, low in pairs:
+        assert sum(1 for _ in pair_runs(high, low, 40320)) <= 32
