@@ -3,8 +3,10 @@
 Subcommands: density, compare, swf, gadget, verify.  Reports are JSON by
 default (sorted keys, rationals as p/q strings, never floats), with text
 and CSV as convenience views.  Exit codes: 0 on success, 1 when a
-verification run fails, 2 on usage or parse errors.  Timing goes to
-stderr so that reports stay byte-identical for a fixed seed.
+verification run fails, 2 on usage or parse errors, 141 (the shell's
+code for SIGPIPE) when stdout closes before the report is written.
+Timing goes to stderr so that reports stay byte-identical for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -504,7 +506,17 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 2
     command = " ".join(argv if argv is not None else sys.argv[1:])
     report = make_report(command, config, results)
-    emit(report, config, stdout)
+    try:
+        emit(report, config, stdout)
+        stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``).  Point stdout at /dev/null so
+        # the interpreter's own flush at exit cannot fail a second time.
+        if stdout is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     stderr.write(f"completed in {time.perf_counter() - started:.3f}s\n")
     return code
 

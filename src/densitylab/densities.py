@@ -3,8 +3,9 @@
 The decidable fragment consists of: eventually-periodic sets (boolean
 combinations of finite sets, intervals and arithmetic progressions),
 factorial point sets (always density zero), factorial interval families
-whose boundary-ratio limits exist (computed symbolically), and boolean
-combinations of the above where the density algebra is conclusive.
+whose boundary-ratio limits exist (exact limits of factorial ratios, taken
+term by term over the slopes of the factorials), and boolean combinations
+of the above where the density algebra is conclusive.
 Everything else falls back to a flagged checkpoint estimate.
 """
 
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import indexsets as ix
 from .indexsets import (
+    BlockPattern,
     Compl,
     Diff,
     FactorialIntervals,
@@ -69,59 +72,139 @@ class DensityResult:
 # ---------------------------------------------------------------------------
 
 
-def _to_sympy(expr, k):
-    import sympy as sp
+# A bound in the fragment is a sum over slopes a >= 0 of R_a(k) * (a*k)!,
+# kept as {a: (num, den)}: R_a is a ratio of polynomials in k, each a tuple
+# of Fraction coefficients, lowest degree first.  (a*k + b)! folds into
+# (a*k)! times a polynomial (b > 0) or over one (b < 0).  A larger slope
+# outgrows any rational function times a smaller one, so the limit of a
+# ratio is the limit of its top-slope coefficients.  Whatever falls outside
+# (a product of two factorial terms, a negative slope, ...) is None.
 
-    from . import indexsets as ix
+_UNIT = (Fraction(1),)
 
+
+def _poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _scale(terms, num, den):
+    """Multiply every coefficient by the rational function num / den."""
+    return {a: (_poly_mul(n, num), _poly_mul(d, den)) for a, (n, d) in terms.items()}
+
+
+def _sum(x, y, sign):
+    out = dict(x)
+    for a, (n, d) in y.items():
+        n = tuple(sign * c for c in n)
+        if a in out:
+            n0, d0 = out[a]
+            n, d = _poly_add(_poly_mul(n0, d), _poly_mul(n, d0)), _poly_mul(d0, d)
+        if n:
+            out[a] = (n, d)
+        else:
+            out.pop(a, None)
+    return out
+
+
+def _fact(x):
+    """(a*k + b)! for an affine x with integers a >= 0 and b, else None."""
+    if x is None or set(x) - {0}:
+        return None
+    num, den = x.get(0, ((), _UNIT))
+    if len(den) != 1 or len(num) > 2:
+        return None
+    b, a = [c / den[0] for c in num] + [Fraction(0)] * (2 - len(num))
+    if a.denominator != 1 or b.denominator != 1 or a < 0:
+        return None
+    a, b = int(a), int(b)
+    if a == 0:
+        return {0: ((Fraction(math.factorial(b)),), _UNIT)} if b >= 0 else None
+    # (a*k+1)...(a*k+b) above (a*k)!, or (a*k)(a*k-1)...(a*k+b+1) below it.
+    poly = _UNIT
+    for i in range(1, b + 1) if b >= 0 else range(0, b, -1):
+        poly = _poly_mul(poly, (Fraction(i), Fraction(a)))
+    return {a: (poly, _UNIT) if b >= 0 else (_UNIT, poly)}
+
+
+def _terms(expr, shift: int):
+    """The slope terms of a bound expression at k + shift, or None."""
     if isinstance(expr, ix.Num):
-        return sp.Integer(expr.value)
+        return {0: ((Fraction(expr.value),), _UNIT)} if expr.value else {}
     if isinstance(expr, ix.Var):
-        return k
-    if isinstance(expr, ix.Add):
-        return _to_sympy(expr.left, k) + _to_sympy(expr.right, k)
-    if isinstance(expr, ix.Sub):
-        return _to_sympy(expr.left, k) - _to_sympy(expr.right, k)
-    if isinstance(expr, ix.Mul):
-        return _to_sympy(expr.left, k) * _to_sympy(expr.right, k)
-    if isinstance(expr, ix.Div):
-        return _to_sympy(expr.left, k) / _to_sympy(expr.right, k)
+        return {0: ((Fraction(shift), Fraction(1)), _UNIT)}
     if isinstance(expr, ix.Fact):
-        return sp.factorial(_to_sympy(expr.arg, k))
+        return _fact(_terms(expr.arg, shift))
+    x, y = _terms(expr.left, shift), _terms(expr.right, shift)
+    if isinstance(expr, (ix.Add, ix.Sub)):
+        if x is None or y is None:
+            return None
+        return _sum(x, y, 1 if isinstance(expr, ix.Add) else -1)
+    if isinstance(expr, ix.Mul):
+        if x == {} or y == {}:
+            return {}  # zero times anything, as for 0 * (40 - k)!
+        if x is None or y is None:
+            return None
+        if set(x) == {0}:
+            return _scale(y, *x[0])
+        if set(y) == {0}:
+            return _scale(x, *y[0])
+        return None
+    if isinstance(expr, ix.Div):
+        if y == {}:
+            return None
+        if x == {}:
+            return {}
+        if x is None or y is None:
+            return None
+        if set(y) == {0}:
+            n, d = y[0]
+            return _scale(x, d, n)
+        if len(x) == len(y) == 1 and set(x) == set(y):
+            ((n1, d1),), ((n2, d2),) = x.values(), y.values()
+            return {0: (_poly_mul(n1, d2), _poly_mul(d1, n2))}
+        return None
     raise TypeError(f"not a bound expression: {expr!r}")
 
 
-def _limit_as_fraction(expr, k):
-    import sympy as sp
-
-    try:
-        # Factorial ratios collapse to rational functions of k, whose
-        # limits are immediate; fall back to the raw expression otherwise.
-        simplified = sp.combsimp(sp.cancel(expr))
-        lim = sp.limit(simplified, k, sp.oo)
-    except Exception:
-        try:
-            lim = sp.limit(expr, k, sp.oo)
-        except Exception:
-            return None
-    if lim is None or not getattr(lim, "is_rational", False):
+def _ratio_limit(top, bottom):
+    """lim top/bottom as k -> oo, or None when infinite or not in the fragment."""
+    if top is None or not bottom:
         return None
-    r = sp.Rational(lim)
-    return Fraction(int(r.p), int(r.q))
+    if not top:
+        return Fraction(0)
+    a, b = max(top), max(bottom)
+    if a != b:
+        return Fraction(0) if a < b else None
+    (n1, d1), (n2, d2) = top[a], bottom[b]
+    num, den = _poly_mul(n1, d2), _poly_mul(d1, n2)
+    if len(num) != len(den):
+        return Fraction(0) if len(num) < len(den) else None
+    return num[-1] / den[-1]
 
 
 @lru_cache(maxsize=512)
-def _pattern_limits(fi: FactorialIntervals):
-    """(lim lo_k/hi_k, lim hi_k/lo_{k+1}) for the block pattern, or None."""
-    import sympy as sp
-
-    if fi.pattern is None:
-        return None
-    k = sp.Symbol("k", integer=True, positive=True)
-    lo = _to_sympy(fi.pattern.lo, k)
-    hi = _to_sympy(fi.pattern.hi, k)
-    l1 = _limit_as_fraction(lo / hi, k)
-    l2 = _limit_as_fraction(hi / lo.subs(k, k + 1), k)
+def _pattern_limits(pattern: BlockPattern):
+    """(lim lo_k/hi_k, lim hi_k/lo_{k+1}) for a block pattern, or None."""
+    lo, hi = _terms(pattern.lo, 0), _terms(pattern.hi, 0)
+    l1 = _ratio_limit(lo, hi)
+    l2 = _ratio_limit(hi, _terms(pattern.lo, 1))
     if l1 is None or l2 is None:
         return None
     return (l1, l2)
@@ -136,7 +219,7 @@ def _pattern_density(fi: FactorialIntervals):
     hi/next-lo exist with L1*L2 < 1, the peak ratios converge to
     a* = (1 - L1) / (1 - L1*L2) and the troughs to a* * L2.
     """
-    lims = _pattern_limits(fi)
+    lims = _pattern_limits(fi.pattern)
     if lims is None:
         return None
     l1, l2 = lims
@@ -237,10 +320,10 @@ def contains_long_intervals(s: IndexSet) -> bool:
     of block patterns with the analogous gap-ratio behavior.
     """
     if isinstance(s, FactorialIntervals) and s.pattern is not None:
-        lims = _pattern_limits(s)
+        lims = _pattern_limits(s.pattern)
         return lims is not None and lims[0] < 1
     if isinstance(s, Compl) and isinstance(s.arg, FactorialIntervals) and s.arg.pattern is not None:
-        lims = _pattern_limits(s.arg)
+        lims = _pattern_limits(s.arg.pattern)
         return lims is not None and lims[1] < 1
     return False
 

@@ -3,7 +3,8 @@
 Each check returns a CheckResult with JSON-friendly details; the whole
 suite is deterministic for a fixed seed.  The brute-force counting oracle
 is a vectorized membership mask computed from the definitional semantics
-of each node, independent of the closed-form counting path.
+of each node, independent of the closed-form counting path; the grading
+oracle is a bipartite matching, independent of the sorted dominance.
 """
 
 from __future__ import annotations
@@ -255,12 +256,27 @@ def random_window_pair(rng: random.Random, max_window: int = 8):
 
 
 def brute_force_grading(x, y, window) -> bool:
-    """Whether some permutation of x's window values dominates y's."""
+    """Whether some permutation of x's window values dominates y's.
+
+    Such a permutation is a perfect matching of y's values to x's values
+    at least as large, so Hall's condition decides it, checked by
+    augmenting paths (Kuhn's algorithm).  The matching is exact and shares
+    nothing with the sorted dominance behind ``suppes_sen_compare``.
+    """
     xs = [eval_at(x, t) for t in window]
     ys = [eval_at(y, t) for t in window]
-    return any(
-        all(a >= b for a, b in zip(perm, ys)) for perm in itertools.permutations(xs)
-    )
+    owner = [None] * len(xs)  # owner[j]: the y position matched to xs[j]
+
+    def augment(i, seen):
+        for j, a in enumerate(xs):
+            if a >= ys[i] and j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(ys)))
 
 
 # ---------------------------------------------------------------------------

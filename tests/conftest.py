@@ -1,6 +1,3 @@
-import pytest
-
-from densitylab.densities import density
 from densitylab.indexsets import BlockPattern, Fact, FactorialIntervals, Mul, Num, Sub, Var
 
 DENSE_FAMILY = FactorialIntervals(
@@ -9,10 +6,3 @@ DENSE_FAMILY = FactorialIntervals(
         hi=Fact(Mul(Num(2), Var())),
     )
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_symbolic_limits():
-    """Evaluate the interval-family limits once so timed tests measure the
-    arithmetic, not the one-time symbolic setup."""
-    density(DENSE_FAMILY)

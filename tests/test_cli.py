@@ -343,6 +343,30 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
+def test_cli_and_verify_leave_sympy_unloaded():
+    # A fresh process, since other tests import sympy as a cross-check.
+    code = (
+        "import io, sys, densitylab.cli\n"
+        "loaded = 'sympy' in sys.modules\n"
+        "densitylab.cli.main(['verify', '--seed', '0'], stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "sys.exit(loaded or 'sympy' in sys.modules)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # The report is far larger than a pipe buffer, so the writer is still
+    # writing when the reader leaves after the first line (as ``| head -1``).
+    argv = ["gadget", "lemma1", "--r", "1/3", "--dump-prefix", "20000"]
+    with subprocess.Popen([sys.executable, "-m", "densitylab.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "densitylab.cli", "density", "factorials(nat)"],

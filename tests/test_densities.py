@@ -11,10 +11,12 @@ from densitylab.densities import (
 )
 from densitylab.indexsets import (
     NAT,
+    Add,
     ArithProg,
     BlockPattern,
     Compl,
     Diff,
+    Div,
     Fact,
     FactorialIntervals,
     FactorialPoints,
@@ -60,19 +62,19 @@ def test_interval_family_complement():
     assert d.exact and d.lower == 0 and d.upper == 1
 
 
-def test_nearly_tiling_block_family_has_density_one():
-    # blocks ((2k-1)!, (2k+1)! - (2k+1)!/(2k)!] leave asymptotically
-    # negligible gaps, so the family has full density
-    from densitylab.indexsets import Add, Div
-
-    two_k = Mul(Num(2), Var())
-    dense = FactorialIntervals(
-        pattern=BlockPattern(
-            lo=Add(Fact(Sub(two_k, Num(1))), Num(1)),
-            hi=Sub(Fact(Add(two_k, Num(1))), Div(Fact(Add(two_k, Num(1))), Fact(two_k))),
-        )
+TWO_K = Mul(Num(2), Var())
+# Blocks ((2k-1)!, (2k+1)! - (2k+1)!/(2k)!] leave asymptotically negligible
+# gaps, so the family has full density.
+NEARLY_TILING = FactorialIntervals(
+    pattern=BlockPattern(
+        lo=Add(Fact(Sub(TWO_K, Num(1))), Num(1)),
+        hi=Sub(Fact(Add(TWO_K, Num(1))), Div(Fact(Add(TWO_K, Num(1))), Fact(TWO_K))),
     )
-    d = density(dense)
+)
+
+
+def test_nearly_tiling_block_family_has_density_one():
+    d = density(NEARLY_TILING)
     assert d.exact and d.lower == 1 and d.upper == 1
 
 

@@ -1,16 +1,23 @@
+import itertools
+import math
+import operator
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import densitylab
-from densitylab.indexsets import member
+from densitylab.indexsets import Finite, member
+from densitylab.streams import Piecewise, RankFill, eval_at
 from densitylab.verification import (
     CHECK_NAMES,
+    brute_force_grading,
     check_specs,
     membership_mask,
     random_chain_pair,
     random_decidable_set,
     random_periodic_set,
+    random_window_pair,
     run_check,
     run_verification,
 )
@@ -70,3 +77,52 @@ def test_oracle_stays_out_of_the_production_path():
     users = sorted(p.name for p in package.glob("*.py")
                    if p.name != "verification.py" and pattern.search(p.read_text()))
     assert users == []
+
+
+def _grading_by_enumeration(x, y, window):
+    """The grading principle by definition: try every permutation.
+
+    Values are scaled to ints first, only to make the 8! enumeration fast.
+    """
+    xs = [eval_at(x, t) for t in window]
+    ys = [eval_at(y, t) for t in window]
+    scale = math.lcm(*(Fraction(v).denominator for v in xs + ys))
+    xs = [int(v * scale) for v in xs]
+    ys = [int(v * scale) for v in ys]
+    return any(all(map(operator.ge, perm, ys)) for perm in itertools.permutations(xs))
+
+
+def _random_grading_stream(rng):
+    # Rank-fill streams give int ranks next to a Fraction fill value;
+    # piecewise streams give Fractions, halves included, so values tie
+    # across types (2 == Fraction(4, 2)).
+    if rng.random() < 0.4:
+        fill_on = Finite(tuple(sorted(rng.sample(range(1, 13), rng.randint(0, 10)))))
+        return RankFill(fill_on, Fraction(rng.randint(0, 12), rng.choice((1, 2))))
+    return Piecewise(
+        Fraction(rng.randint(0, 4)),
+        tuple((Finite((t,)), Fraction(rng.randint(0, 12), rng.choice((1, 2))))
+              for t in sorted(rng.sample(range(1, 13), rng.randint(0, 8)))),
+    )
+
+
+def test_grading_oracle_matches_enumeration_on_random_windows():
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(2000):
+        x, y = _random_grading_stream(rng), _random_grading_stream(rng)
+        window = sorted(rng.sample(range(1, 13), rng.randint(1, 8)))
+        want = _grading_by_enumeration(x, y, window)
+        assert brute_force_grading(x, y, window) == want, (x, y, window)
+        verdicts.append(want)
+    assert 200 < sum(verdicts) < 1800  # both answers are well represented
+
+
+def test_grading_oracle_matches_enumeration_on_verify_corpora():
+    for seed in range(6):
+        (grading_seed, kwargs), = [(s, kw) for name, s, kw in check_specs(seed=seed)
+                                  if name == "grading_windows"]
+        rng = random.Random(grading_seed)
+        for _ in range(kwargs["pairs"]):
+            x, y, window = random_window_pair(rng)
+            assert brute_force_grading(x, y, window) == _grading_by_enumeration(x, y, window)
