@@ -3,8 +3,9 @@
 An index set is an immutable AST built from finite sets, arithmetic
 progressions, integer intervals, factorial point sets, factorial interval
 families, and boolean combinators.  All counting is done with arbitrary
-precision integers and never by brute-force scanning; boolean nodes are
-counted by inclusion-exclusion and interval restriction.
+precision integers and never by brute-force scanning: a boolean set is
+counted piece by piece between the run boundaries of its non-periodic
+leaves, each piece in closed form from the residues of its profile.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 __all__ = [
     "IndexSet",
@@ -350,21 +352,16 @@ def _blocks_up_to(s: FactorialIntervals, n: int):
 # ---------------------------------------------------------------------------
 
 
-_PROFILE_COUNT_MAX_START = 4096
-
-
-def _count_residue_class(b: int, r: int, p: int) -> int:
-    """|{t in [1, b] : t % p == r}|."""
-    if b < 1:
-        return 0
-    if r == 0:
-        return b // p
-    return (b - r) // p + 1 if b >= r else 0
-
-
 @lru_cache(maxsize=65536)
 def count(s: IndexSet, n: int) -> int:
-    """|S intersected with [1, n]|, computed structurally."""
+    """|S intersected with [1, n]|, computed structurally.
+
+    Atoms are counted in closed form.  A boolean set is swept: its leaves
+    are residue classes and sets that are constant between the boundaries
+    of their runs, so between two boundaries it is a boolean combination of
+    classes, counted from its ``periodic_profile``.  The cost follows the
+    number of boundaries below n, not n or the number of boolean nodes.
+    """
     if n < 1:
         return 0
     if isinstance(s, Finite):
@@ -377,117 +374,100 @@ def count(s: IndexSet, n: int) -> int:
         return count(s.base, _max_factorial_index(n))
     if isinstance(s, FactorialIntervals):
         return sum(min(hi, n) - lo + 1 for lo, hi in _blocks_up_to(s, n))
-    # Boolean nodes: an eventually-periodic profile gives a closed form
-    # (membership scan below the profile start, residue arithmetic above);
-    # otherwise count by inclusion-exclusion.
-    p = periodic_profile(s)
-    if p is not None and p.start <= _PROFILE_COUNT_MAX_START:
-        head_end = min(n, p.start - 1)
-        head = sum(1 for t in range(1, head_end + 1) if member(s, t))
-        if n < p.start:
-            return head
-        tail = sum(
-            _count_residue_class(n, r, p.period)
-            - _count_residue_class(p.start - 1, r, p.period)
-            for r in p.residues
-        )
-        return head + tail
-    if isinstance(s, Compl):
-        return n - count(s.arg, n)
-    if isinstance(s, Union):
-        return count(s.left, n) + count(s.right, n) - _count_inter((s.left, s.right), n)
-    if isinstance(s, Diff):
-        return count(s.left, n) - _count_inter((s.left, s.right), n)
-    if isinstance(s, Inter):
-        return _count_inter((s.left, s.right), n)
+    if isinstance(s, (Union, Inter, Compl, Diff)):
+        return _sweep(s, n)
     raise TypeError(f"not an index set: {s!r}")
 
 
-@lru_cache(maxsize=65536)
-def _count_inter(parts: tuple, n: int) -> int:
-    """|intersection of all parts, within [1, n]|.
-
-    Boolean structure inside the parts is eliminated by rewriting; the
-    atomic core is counted by enumeration of the sparsest atom, interval
-    restriction, or CRT merging of arithmetic progressions.
-    """
-    if n < 1:
-        return 0
-    if not parts:
-        return n
-    # Eliminate boolean nodes one at a time (each rewrite removes a node).
-    for i, p in enumerate(parts):
-        rest = parts[:i] + parts[i + 1 :]
-        if isinstance(p, Inter):
-            return _count_inter(rest + (p.left, p.right), n)
-        if isinstance(p, Compl):
-            return _count_inter(rest, n) - _count_inter(rest + (p.arg,), n)
-        if isinstance(p, Diff):
-            return _count_inter(rest + (p.left,), n) - _count_inter(rest + (p.left, p.right), n)
-        if isinstance(p, Union):
-            return (
-                _count_inter(rest + (p.left,), n)
-                + _count_inter(rest + (p.right,), n)
-                - _count_inter(rest + (p.left, p.right), n)
-            )
-    # All parts are atoms now.
-    for i, p in enumerate(parts):
-        if isinstance(p, Finite):
-            others = parts[:i] + parts[i + 1 :]
-            return sum(
-                1
-                for e in p.elements
-                if e <= n and all(member(o, e) for o in others)
-            )
-    for i, p in enumerate(parts):
-        if isinstance(p, FactorialPoints):
-            others = parts[:i] + parts[i + 1 :]
-            total = 0
-            j, f = 1, 1
-            while f <= n:
-                if member(p.base, j) and all(member(o, f) for o in others):
-                    total += 1
-                j += 1
-                f *= j
-            return total
-    for i, p in enumerate(parts):
-        if isinstance(p, FactorialIntervals):
-            others = parts[:i] + parts[i + 1 :]
-            return sum(
-                _count_inter(others, min(hi, n)) - _count_inter(others, lo - 1)
-                for lo, hi in _blocks_up_to(p, n)
-            )
-    for i, p in enumerate(parts):
-        if isinstance(p, Interval):
-            others = parts[:i] + parts[i + 1 :]
-            top = min(n, p.hi)
-            if top < p.lo:
-                return 0
-            return _count_inter(others, top) - _count_inter(others, p.lo - 1)
-    # Only arithmetic progressions remain: merge them by CRT.
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = _merge_progressions(merged, p)
-        if merged is None:
-            return 0
-    return count(merged, n)
+def _sweep(s: IndexSet, n: int) -> int:
+    """count of a boolean set: a walk over the run boundaries of its leaves."""
+    index: dict[IndexSet, int] = {}
+    tree = _compile(s, index)
+    leaves = tuple(index)
+    # A class of period d is tabled while the lcm of the tabled periods stays
+    # within n/d, the elements a walk of it would visit, so that no table
+    # outgrows the walk it saves; the first always is, as one residue.
+    dense, lcm = 0, 1
+    for d, i in sorted((leaf.d, i) for i, leaf in enumerate(leaves)
+                       if isinstance(leaf, ArithProg) and leaf.a <= leaf.d):
+        if lcm == 1 or math.lcm(lcm, d) * d <= n:
+            dense, lcm = dense | 1 << i, math.lcm(lcm, d)
+    edges = heapq.merge(*(
+        _edges(leaf, n, 1 << i) for i, leaf in enumerate(leaves) if not dense >> i & 1
+    ))
+    # Per value of the walked leaves: (complemented, period, sorted residues),
+    # a complement being counted as the rest of the piece.
+    tables: dict[int, tuple[bool, int, tuple[int, ...]]] = {}
+    total, state, lo = 0, 0, 1
+    for t, bit in chain(edges, [(n + 1, 0)]):
+        if t > lo:
+            if state not in tables:
+                x = _fold(tree, leaves, dense, state)
+                if type(x) is bool:
+                    tables[state] = (x, 1, ())
+                else:
+                    negated = type(x) is Compl
+                    p = periodic_profile(x.arg if negated else x)
+                    tables[state] = (negated, p.period, tuple(sorted(p.residues)))
+            negated, period, residues = tables[state]
+            # Residues met in [0, t - 1] less those met in [0, lo - 1].
+            q1, r1 = divmod(t - 1, period)
+            q0, r0 = divmod(lo - 1, period)
+            met = ((q1 - q0) * len(residues)
+                   + bisect_right(residues, r1) - bisect_right(residues, r0))
+            total += t - lo - met if negated else met
+            lo = t
+        state ^= bit
+    return total
 
 
-def _merge_progressions(p: ArithProg, q: ArithProg) -> ArithProg | None:
-    """Intersection of two arithmetic progressions (None when empty)."""
-    g = math.gcd(p.d, q.d)
-    if (q.a - p.a) % g != 0:
-        return None
-    l = p.d // g * q.d
-    # Solve x = p.a (mod p.d), x = q.a (mod q.d) by CRT.
-    m = (q.a - p.a) // g
-    inv = pow(p.d // g, -1, q.d // g) if q.d // g > 1 else 0
-    t = (m * inv) % (q.d // g)
-    x0 = p.a + p.d * t
-    lo = max(p.a, q.a)
-    if x0 < lo:
-        x0 += ((lo - x0 + l - 1) // l) * l
-    return ArithProg(x0, l)
+def _compile(s: IndexSet, index: dict[IndexSet, int]):
+    """s as a tree of (Compl, x), (Union, x, y) and (Inter, x, y) over leaf
+    numbers, numbering its leaves in ``index``.  A leaf ArithProg(a, d) is a
+    residue class when a <= d, which holds from 1 on, and the run [a, oo)
+    when d = 1 < a; any other progression is the two cut by each other."""
+    if isinstance(s, Compl):
+        return Compl, _compile(s.arg, index)
+    if isinstance(s, (Union, Inter)):
+        return type(s), _compile(s.left, index), _compile(s.right, index)
+    if isinstance(s, Diff):
+        return Inter, _compile(s.left, index), (Compl, _compile(s.right, index))
+    if isinstance(s, ArithProg) and 1 < s.d < s.a:
+        return (Inter, _compile(ArithProg(s.a % s.d or s.d, s.d), index),
+                _compile(ArithProg(s.a, 1), index))
+    return index.setdefault(s, len(index))
+
+
+def _edges(leaf: IndexSet, n: int, bit: int) -> Iterator[tuple[int, int]]:
+    """(t, bit) where a run of leaf below n starts and just after it ends."""
+    if isinstance(leaf, ArithProg) and leaf.d > 1:
+        elements = range(leaf.a, n + 1, leaf.d)  # not listed: there may be many
+        runs = zip(elements, elements)
+    else:
+        runs = intervals(leaf, n)
+    for lo, hi in runs:
+        yield lo, bit
+        yield hi + 1, bit
+
+
+def _fold(node, leaves: tuple[IndexSet, ...], dense: int, state: int) -> IndexSet | bool:
+    """The set at ``node`` with each walked leaf replaced by its value in
+    ``state``: a bool, or a boolean combination of the dense classes."""
+    if type(node) is int:
+        return leaves[node] if dense >> node & 1 else bool(state >> node & 1)
+    op = node[0]
+    x = _fold(node[1], leaves, dense, state)
+    if op is Compl:
+        return (not x) if type(x) is bool else x.arg if type(x) is Compl else Compl(x)
+    absorbing = op is Union  # True absorbs a union, False an intersection
+    if x is absorbing:
+        return x
+    y = _fold(node[2], leaves, dense, state)
+    if type(x) is bool:
+        return y
+    if type(y) is bool:
+        return y if y is absorbing else x
+    return op(x, y)
 
 
 def member(s: IndexSet, t: int) -> bool:
@@ -719,6 +699,13 @@ def periodic_profile(s: IndexSet) -> Profile | None:
         if pl is None or pr is None:
             return None
         period = math.lcm(pl.period, pr.period)
+        start = max(pl.start, pr.start)
+        if isinstance(s, Inter) and len(pl.residues) * len(pr.residues) < period:
+            # Each pair of residues meets in at most one residue mod the
+            # lcm, so this costs the residue pairs and not the period.
+            met = (_merge_progressions(a, pl.period, b, pr.period)
+                   for a in pl.residues for b in pr.residues)
+            return Profile(period, frozenset(r for r in met if r is not None), start)
         left = {r for r in range(period) if r % pl.period in pl.residues}
         right = {r for r in range(period) if r % pr.period in pr.residues}
         if isinstance(s, Union):
@@ -727,8 +714,19 @@ def periodic_profile(s: IndexSet) -> Profile | None:
             residues = left & right
         else:
             residues = left - right
-        return Profile(period, frozenset(residues), max(pl.start, pr.start))
+        return Profile(period, frozenset(residues), start)
     return None
+
+
+def _merge_progressions(a: int, p: int, b: int, q: int) -> int | None:
+    """The residue mod lcm(p, q) shared by the classes a mod p and b mod q
+    (CRT), or None when they are disjoint."""
+    g = math.gcd(p, q)
+    if (b - a) % g != 0:
+        return None
+    # x = a + p*t with p*t = b - a (mod q), solved modulo q/g.
+    t = (b - a) // g * pow(p // g, -1, q // g)
+    return (a + p * t) % (p // g * q)
 
 
 class Unbounded(enum.Enum):

@@ -1,5 +1,8 @@
 import math
 import random
+import time
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -33,7 +36,9 @@ from densitylab.indexsets import (
     provably_nonempty,
 )
 
+from densitylab.densities import density
 from densitylab.dsl import parse_set
+from densitylab.streams import Piecewise, _regions
 from densitylab.verification import membership_mask, random_decidable_set, random_periodic_set
 
 FACTS = FactorialPoints(NAT)
@@ -139,10 +144,91 @@ index_sets = st.recursive(
 )
 
 
-@given(index_sets, st.integers(1, 800))
+@given(index_sets, st.one_of(st.integers(1, 800), st.sampled_from((5040, 40320))))
 @settings(max_examples=120, deadline=None)
 def test_structural_count_equals_brute_force(s, n):
     assert count(s, n) == brute_count(s, n)
+
+
+# Each joins a progression of period at least 10**6 with factorial points,
+# factorials over a non-periodic base, the block pattern, finite sets and
+# complements.
+MIXED_SETS = tuple(parse_set(text) for text in (
+    "union(inter(ap(7,1000003),compl(factorials(nat))),diff(fintervals[((2k-1)!,(2k)!)],"
+    "union(finite{720,721,5040},factorials(compl(factorials(nat))))))",
+    "inter(compl(union(ap(2,1000033),factorials(compl(factorials(nat))))),"
+    "union(fintervals[((2k-1)!,(2k)!)],diff(ap(1,3),union(factorials(nat),finite{4,10,40320}))))",
+    "diff(union(ap(5,2000003),factorials(fintervals[((2k-1)!,(2k)!)])),"
+    "inter(compl(finite{1,2,6}),union(factorials(nat),compl(fintervals[((2k-1)!,(2k)!)]))))",
+    "compl(union(inter(ap(3,1000003),fintervals[((2k-1)!,(2k)!)]),"
+    "union(factorials(compl(fintervals[((2k-1)!,(2k)!)])),diff(finite{10,100,1000,40320},factorials(nat)))))",
+    "union(diff(ap(1000001,1000000),union(factorials(nat),finite{2000001})),"
+    "inter(factorials(diff(nat,factorials(nat))),fintervals[((2k-1)!,(2k)!)]))",
+    # Off the walked leaves this is the union of compl(ap(1,1000003)) and
+    # ap(2,1000033), whose lcm is about 10**12: one class must be walked.
+    "union(compl(union(ap(1,1000003),factorials(compl(factorials(nat))))),"
+    "inter(union(ap(2,1000033),finite{5,6}),compl(fintervals[((2k-1)!,(2k)!)])))",
+))
+
+
+@pytest.mark.parametrize("n", [5040, 40320, math.factorial(10)])
+@pytest.mark.parametrize("s", MIXED_SETS)
+def test_count_of_mixed_sets_matches_the_mask(s, n):
+    count.cache_clear()
+    started = time.perf_counter()
+    counted = count(s, n)
+    assert time.perf_counter() - started < 1
+    assert counted == int(membership_mask(s, n).sum())
+
+
+def _unpruned_nonstrict_set(k):
+    """The non-strict set of the clause pair factorials(ap(i,k+1)):i built
+    from all region pairs, without dropping the disjoint ones."""
+    clauses = tuple((FactorialPoints(ArithProg(i, k + 1)), i) for i in range(1, k + 1))
+    x, y = Piecewise(9, clauses), Piecewise(0, clauses)
+    return reduce(Union, [Inter(rx, ry) for rx, vx in _regions(x)
+                          for ry, vy in _regions(y) if vx <= vy])
+
+
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_count_of_the_unpruned_clause_pair(k):
+    # Inclusion-exclusion took over 60 s at k = 6: its cost grew
+    # exponentially with the boolean nodes of this union of k**2 terms.
+    s = _unpruned_nonstrict_set(k)
+    count.cache_clear()
+    started = time.perf_counter()
+    counted = count(s, 5040)
+    assert time.perf_counter() - started < 1
+    assert counted == int(membership_mask(s, 5040).sum())
+
+
+def test_a_lone_large_period_needs_no_walk():
+    # One residue class is tabled whatever its period, so counting far
+    # past the square of the period does not walk its elements.
+    s = parse_set("inter(ap(1,1000003),compl(factorials(nat)))")
+    started = time.perf_counter()
+    # 1 + k * 1000003 for k >= 1: 1 = 1! is left out.
+    assert count(Compl(s), 10**13) == 10**13 - (10**13 - 1) // 1000003
+    assert nth_element(s, 10**5) == 1 + 10**5 * 1000003
+    assert time.perf_counter() - started < 1
+
+
+def test_counting_caches_stay_inspectable():
+    # The benchmark's traced run reports the hit ratios of these two caches.
+    for cached in (count, periodic_profile):
+        info = cached.cache_info()
+        assert info.hits >= 0 and info.misses >= 0
+
+
+def test_large_coprime_periods_meet_by_crt():
+    s = parse_set("inter(ap(1,1000003),ap(2,1000033))")
+    started = time.perf_counter()
+    d = density(s)
+    n = math.factorial(10)
+    counted = count(s, n)
+    assert time.perf_counter() - started < 1
+    assert d.exact and d.lower == d.upper == Fraction(1, 1000036000099)
+    assert counted == sum(1 for t in range(1, n + 1, 1000003) if member(s, t))
 
 
 @given(index_sets, st.integers(1, 500))
@@ -160,11 +246,16 @@ def test_profile_of_progression():
 
 
 def test_profile_of_boolean_combination():
-    s = Diff(Union(ArithProg(1, 2), ArithProg(2, 4)), Finite((1, 3)))
-    p = periodic_profile(s)
-    assert p is not None
-    for t in range(p.start, p.start + 3 * p.period):
-        assert member(s, t) == (t % p.period in p.residues)
+    for s in (
+        Diff(Union(ArithProg(1, 2), ArithProg(2, 4)), Finite((1, 3))),
+        # Intersections with few residue pairs are merged by CRT.
+        Inter(Union(ArithProg(1, 4), ArithProg(7, 10)), ArithProg(3, 6)),
+        Inter(ArithProg(2, 4), ArithProg(1, 6)),
+    ):
+        p = periodic_profile(s)
+        assert p is not None
+        for t in range(p.start, p.start + 3 * p.period):
+            assert member(s, t) == (t % p.period in p.residues)
 
 
 def test_profile_absent_for_factorials():
