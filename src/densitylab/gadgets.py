@@ -426,10 +426,6 @@ class BlockDensityCertificate:
 
     rows: tuple[tuple[int, int, int, Fraction], ...]  # (m, checkpoint, count, bound)
 
-    @property
-    def best_bound(self) -> Fraction:
-        return max((bound for _, _, _, bound in self.rows), default=Fraction(0))
-
 
 def tail_density_certificate(seq) -> BlockDensityCertificate:
     seq = tuple(seq)

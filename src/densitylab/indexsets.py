@@ -305,17 +305,9 @@ NAT = ArithProg(1, 1)
 
 
 def inverse_factorial(n: int) -> int | None:
-    """Return j >= 1 with j! == n, or None if n is not a factorial.
-
-    1 maps to j = 1.
-    """
-    if n < 1:
-        return None
-    j, f = 1, 1
-    while f < n:
-        j += 1
-        f *= j
-    return j if f == n else None
+    """Return j >= 1 with j! == n (1 maps to j = 1), or None if n is not a factorial."""
+    j = _max_factorial_index(n)
+    return j if j and math.factorial(j) == n else None
 
 
 def _max_factorial_index(n: int) -> int:
@@ -384,14 +376,17 @@ def _sweep(s: IndexSet, n: int) -> int:
     index: dict[IndexSet, int] = {}
     tree = _compile(s, index)
     leaves = tuple(index)
-    # A class of period d is tabled while the lcm of the tabled periods stays
-    # within n/d, the elements a walk of it would visit, so that no table
-    # outgrows the walk it saves; the first always is, as one residue.
-    dense, lcm = 0, 1
+    # A class of period d is tabled while a table stays within n/d residues,
+    # the elements a walk of it would visit.  _fold leaves a complement only
+    # at the top, counted as the rest of the piece; below it, classes of
+    # periods d_i and lcm l combine into at most min(l, sum of l/d_i).
+    dense, lcm, size = 0, 1, 0
     for d, i in sorted((leaf.d, i) for i, leaf in enumerate(leaves)
                        if isinstance(leaf, ArithProg) and leaf.a <= leaf.d):
-        if lcm == 1 or math.lcm(lcm, d) * d <= n:
-            dense, lcm = dense | 1 << i, math.lcm(lcm, d)
+        grown = math.lcm(lcm, d)
+        bound = min(grown, size * (grown // lcm) + grown // d)
+        if bound * d <= n:
+            dense, lcm, size = dense | 1 << i, grown, bound
     edges = heapq.merge(*(
         _edges(leaf, n, 1 << i) for i, leaf in enumerate(leaves) if not dense >> i & 1
     ))
@@ -403,12 +398,11 @@ def _sweep(s: IndexSet, n: int) -> int:
         if t > lo:
             if state not in tables:
                 x = _fold(tree, leaves, dense, state)
-                if type(x) is bool:
-                    tables[state] = (x, 1, ())
-                else:
-                    negated = type(x) is Compl
-                    p = periodic_profile(x.arg if negated else x)
-                    tables[state] = (negated, p.period, tuple(sorted(p.residues)))
+                if type(x) is bool:  # the empty set, or its complement
+                    x = Compl(Finite()) if x else Finite()
+                negated = type(x) is Compl
+                p = periodic_profile(x.arg if negated else x)
+                tables[state] = (negated, p.period, tuple(sorted(p.residues)))
             negated, period, residues = tables[state]
             # Residues met in [0, t - 1] less those met in [0, lo - 1].
             q1, r1 = divmod(t - 1, period)
@@ -452,7 +446,8 @@ def _edges(leaf: IndexSet, n: int, bit: int) -> Iterator[tuple[int, int]]:
 
 def _fold(node, leaves: tuple[IndexSet, ...], dense: int, state: int) -> IndexSet | bool:
     """The set at ``node`` with each walked leaf replaced by its value in
-    ``state``: a bool, or a boolean combination of the dense classes."""
+    ``state``: a bool, or a combination of the dense classes by Union, Inter
+    and Diff, complemented at most once and then at the top."""
     if type(node) is int:
         return leaves[node] if dense >> node & 1 else bool(state >> node & 1)
     op = node[0]
@@ -467,7 +462,13 @@ def _fold(node, leaves: tuple[IndexSet, ...], dense: int, state: int) -> IndexSe
         return y
     if type(y) is bool:
         return y if y is absorbing else x
-    return op(x, y)
+    if type(x) is Compl:
+        x, y = y, x
+    if type(y) is not Compl:
+        return op(x, y)
+    if type(x) is Compl:  # De Morgan
+        return Compl((Inter if absorbing else Union)(x.arg, y.arg))
+    return Compl(Diff(y.arg, x)) if absorbing else Diff(x, y.arg)
 
 
 def member(s: IndexSet, t: int) -> bool:
@@ -700,22 +701,25 @@ def periodic_profile(s: IndexSet) -> Profile | None:
             return None
         period = math.lcm(pl.period, pr.period)
         start = max(pl.start, pr.start)
-        if isinstance(s, Inter) and len(pl.residues) * len(pr.residues) < period:
+        if isinstance(s, Inter) and len(pr.residues) < period // pl.period:
             # Each pair of residues meets in at most one residue mod the
-            # lcm, so this costs the residue pairs and not the period.
+            # lcm, so the pairs cost less than lifting the left residues.
             met = (_merge_progressions(a, pl.period, b, pr.period)
                    for a in pl.residues for b in pr.residues)
             return Profile(period, frozenset(r for r in met if r is not None), start)
-        left = {r for r in range(period) if r % pl.period in pl.residues}
-        right = {r for r in range(period) if r % pr.period in pr.residues}
+        # Residues are lifted to the lcm, never listed over all of it.
         if isinstance(s, Union):
-            residues = left | right
-        elif isinstance(s, Inter):
-            residues = left & right
-        else:
-            residues = left - right
+            residues = chain(_lift(pl, period), _lift(pr, period))
+        else:  # the left residues that the right side has (Inter) or lacks (Diff)
+            keep = isinstance(s, Inter)
+            residues = (r for r in _lift(pl, period) if (r % pr.period in pr.residues) is keep)
         return Profile(period, frozenset(residues), start)
     return None
+
+
+def _lift(p: Profile, period: int) -> Iterator[int]:
+    """p's residues modulo ``period``, a multiple of p.period."""
+    return (r + k for k in range(0, period, p.period) for r in p.residues)
 
 
 def _merge_progressions(a: int, p: int, b: int, q: int) -> int | None:

@@ -203,14 +203,45 @@ def test_count_of_the_unpruned_clause_pair(k):
 
 
 def test_a_lone_large_period_needs_no_walk():
-    # One residue class is tabled whatever its period, so counting far
-    # past the square of the period does not walk its elements.
+    # A lone class is one residue, tabled once its period is within n, so
+    # counting far past the square of the period does not walk it.
     s = parse_set("inter(ap(1,1000003),compl(factorials(nat)))")
     started = time.perf_counter()
     # 1 + k * 1000003 for k >= 1: 1 = 1! is left out.
     assert count(Compl(s), 10**13) == 10**13 - (10**13 - 1) // 1000003
     assert nth_element(s, 10**5) == 1 + 10**5 * 1000003
     assert time.perf_counter() - started < 1
+
+
+def test_complements_below_the_top_are_not_enumerated():
+    # Off the factorial points these are a class less itself, and the
+    # complement of a class joined with another: complemented in place,
+    # they would list about 10**9 and 4 * 10**8 residues.
+    n = 10**13
+    lone = parse_set("diff(union(ap(1,1000000000),factorials(nat)),ap(1,1000000000))")
+    pair = parse_set("union(compl(union(ap(1,20011),factorials(nat))),ap(2,20021))")
+    started = time.perf_counter()
+    counted = count(lone, 5040), count(lone, n), count(pair, n)
+    assert time.perf_counter() - started < 1
+    # pair is all of [1, n] but (a | factorials) - b.
+    a, b = ArithProg(1, 20011), ArithProg(2, 20021)
+    meet = next(t for t in range(1, 20011 * 20021, 20011) if member(b, t))
+    facts = (math.factorial(j) for j in range(1, 16))  # 16! > 10**13
+    rest = (count(a, n) - ((n - meet) // (20011 * 20021) + 1)
+            + sum(1 for f in facts if not member(a, f) and not member(b, f)))
+    # lone is the factorials 2!, ..., 7! and 2!, ..., 15!.
+    assert counted == (6, 14, n - rest)
+
+
+def test_union_and_difference_lift_residues():
+    # The lcm is about 10**8; the results have about 10**4 residues.
+    a, b = ArithProg(1, 10007), ArithProg(2, 10009)
+    started = time.perf_counter()
+    union, diff = periodic_profile(Union(a, b)), periodic_profile(Diff(a, b))
+    assert time.perf_counter() - started < 1
+    both = Fraction(1, 10007 * 10009)
+    assert union.density == Fraction(1, 10007) + Fraction(1, 10009) - both
+    assert diff.residues == {t for t in range(1, 10007 * 10009, 10007) if t % 10009 != 2}
 
 
 def test_counting_caches_stay_inspectable():
