@@ -3,16 +3,17 @@
 Subcommands: density, compare, swf, gadget, verify.  Reports are JSON by
 default (sorted keys, rationals as p/q strings, never floats), with text
 and CSV as convenience views.  Exit codes: 0 on success, 1 when a
-verification run fails, 2 on usage or parse errors, 141 (the shell's
-code for SIGPIPE) when stdout closes before the report is written.
-Timing goes to stderr so that reports stay byte-identical for a fixed
-seed.
+verification run fails, 2 on an error with a code from ``_ERROR_CODES``
+on stderr, 141 (the shell's code for SIGPIPE) when stdout closes before
+the report is written.  Timing goes to stderr so that reports stay
+byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -49,8 +50,14 @@ from .welfare import EVALUATORS, SwfError, SwfValue, discounted_sum
 
 SCHEMA_VERSION = "1"
 
+
+class ValueTooLongError(ValueError):
+    """An exact value has more digits than Python will convert to text."""
+
+
 # Matched with isinstance, so subclasses such as OverlapError keep their code.
 _ERROR_CODES = (
+    (ValueTooLongError, "value_too_long"),
     (DslError, "parse_error"),
     (GadgetError, "gadget_error"),
     (IndexSetError, "set_error"),
@@ -84,7 +91,15 @@ class RunConfig:
 
 
 def _frac(q) -> str:
-    return str(Fraction(q))
+    q = Fraction(q)
+    try:
+        return str(q)
+    except ValueError as e:  # past sys.get_int_max_str_digits()
+        digits = max(abs(q.numerator), q.denominator).bit_length() * 3 // 10
+        raise ValueTooLongError(
+            f"exact value has about {digits} digits, past the interpreter's "
+            "limit for printing an integer"
+        ) from e
 
 
 def density_to_dict(d: DensityResult) -> dict:
@@ -521,5 +536,14 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     return code
 
 
+def entry() -> None:
+    """Process entry point: run ``main`` and exit with its code."""
+    code = main()
+    # Spare the collection at interpreter exit a pass over every object
+    # still alive.  Not in main, which tests call in process.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

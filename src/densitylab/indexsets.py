@@ -249,14 +249,21 @@ class FactorialIntervals:
                 raise IndexSetError("interval blocks must be disjoint and increasing")
             prev_hi = hi
         if self.pattern is not None:
-            for k in range(self.pattern.start, self.pattern.start + 32):
-                lo = eval_bound(self.pattern.lo, k)
-                hi = eval_bound(self.pattern.hi, k)
-                if lo < 1 or hi <= lo:
-                    raise IndexSetError(f"pattern block at k={k} is not a valid interval: [{lo}, {hi}]")
-                if lo <= prev_hi:
-                    raise IndexSetError(f"pattern block at k={k} overlaps the previous block")
-                prev_hi = hi
+            _check_pattern(self.pattern, prev_hi)
+
+
+@lru_cache(maxsize=1024)
+def _check_pattern(pattern: BlockPattern, prev_hi: int) -> None:
+    """Validate a pattern's first 32 blocks after explicit blocks ending at
+    prev_hi.  Only a pass is cached, so an invalid pattern raises every time."""
+    for k in range(pattern.start, pattern.start + 32):
+        lo = eval_bound(pattern.lo, k)
+        hi = eval_bound(pattern.hi, k)
+        if lo < 1 or hi <= lo:
+            raise IndexSetError(f"pattern block at k={k} is not a valid interval: [{lo}, {hi}]")
+        if lo <= prev_hi:
+            raise IndexSetError(f"pattern block at k={k} overlaps the previous block")
+        prev_hi = hi
 
 
 @dataclass(frozen=True)
@@ -854,6 +861,9 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     """True only when the intersection is proven empty."""
     if provably_empty(a) or provably_empty(b):
         return True
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, Finite):  # membership is exact and needs no profile
+            return all(not member(y, e) for e in x.elements)
     p = periodic_profile(Inter(a, b))
     if p is not None and not p.residues:
         return count(Inter(a, b), p.start - 1) == 0
@@ -862,8 +872,6 @@ def provably_disjoint(a: IndexSet, b: IndexSet) -> bool:
     for x, y in ((a, b), (b, a)):
         if isinstance(y, Compl) and x in _union_terms(y.arg):
             return True  # x is part of the union that y complements
-        if isinstance(x, Finite):
-            return all(not member(y, e) for e in x.elements)
         if isinstance(x, Interval):
             return count(y, x.hi) - count(y, x.lo - 1) == 0
         if isinstance(x, Inter):

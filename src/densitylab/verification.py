@@ -190,12 +190,12 @@ _DENSE_PATTERN = ix.BlockPattern(
     lo=ix.Fact(ix.Sub(ix.Mul(ix.Num(2), ix.Var()), ix.Num(1))),
     hi=ix.Fact(ix.Mul(ix.Num(2), ix.Var())),
 )
+_DENSE_FAMILY = FactorialIntervals(pattern=_DENSE_PATTERN)
 
 
 def _strict_patterns(rng: random.Random):
     """Strict-improvement patterns with decidable verdicts at every level."""
     facts = FactorialPoints(ArithProg(1, 1))
-    fam = FactorialIntervals(pattern=_DENSE_PATTERN)
     periodic = [
         Compl(Finite(())),
         Compl(Finite(tuple(sorted(rng.sample(range(1, 30), rng.randint(1, 4)))))),
@@ -204,7 +204,8 @@ def _strict_patterns(rng: random.Random):
         Finite(()),
         Union(ArithProg(1, 3), ArithProg(2, 3)),
     ]
-    factorial = [facts, Compl(facts), fam, Compl(fam), FactorialPoints(ArithProg(2, 2))]
+    factorial = [facts, Compl(facts), _DENSE_FAMILY, Compl(_DENSE_FAMILY),
+                 FactorialPoints(ArithProg(2, 2))]
     return periodic, factorial
 
 
@@ -305,14 +306,13 @@ def check_density_oracle(rng: random.Random, sets: int = 200,
 
 def check_reference_densities() -> CheckResult:
     facts = FactorialPoints(ArithProg(1, 1))
-    fam = FactorialIntervals(pattern=_DENSE_PATTERN)
     rows = []
     ok = True
     for name, s, lo, hi in (
         ("factorial_points", facts, Fraction(0), Fraction(0)),
         ("factorial_points_complement", Compl(facts), Fraction(1), Fraction(1)),
-        ("interval_family", fam, Fraction(0), Fraction(1)),
-        ("interval_family_complement", Compl(fam), Fraction(0), Fraction(1)),
+        ("interval_family", _DENSE_FAMILY, Fraction(0), Fraction(1)),
+        ("interval_family_complement", Compl(_DENSE_FAMILY), Fraction(0), Fraction(1)),
     ):
         d = density(s)
         good = d.exact and d.lower == lo and d.upper == hi

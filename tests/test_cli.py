@@ -1,12 +1,17 @@
+import ast
+import gc
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from densitylab import cli
 from densitylab.cli import main
 
 
@@ -279,6 +284,15 @@ def test_overlap_reports_stream_error():
     assert code == 2 and _error_code(err) == "stream_error"
 
 
+def test_a_value_too_long_to_print_has_its_own_code():
+    # The interval ends have denominators of about 100**2000.
+    argv = ["swf", "--which", "discounted", "--delta", "99/100",
+            "--x", "piecewise(default=0;factorials(nat):1)"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and _error_code(err) == "value_too_long"
+    assert "Traceback" not in err
+
+
 def test_env_horizon_override(monkeypatch):
     monkeypatch.setenv("DENSITYLAB_HORIZON", "720")
     code, report, _ = run_json(["compare", "--axiom", "weak", "--x", "const(1)", "--y", "const(0)"])
@@ -374,3 +388,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["exact"] is True
+
+
+def test_verify_in_process_leaves_the_collector_unfrozen():
+    assert main(VERIFY_ARGS + ["--seed", "0"], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_verify_process_matches_the_in_process_report():
+    argv = ["verify", "--seed", "0"]
+    code, out, _ = run_cli(argv)
+    proc = subprocess.run([sys.executable, "-m", "densitylab.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert code == proc.returncode == 0
+    assert proc.stdout == out
+
+
+def test_installed_script_and_module_share_one_entry():
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    module, name = re.search(r'^densitylab = "([\w.]+):(\w+)"', scripts, re.M).groups()
+    assert module == "densitylab.cli" and getattr(cli, name) is cli.entry
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(stmt) for stmt in guard.body] == [f"{name}()"]

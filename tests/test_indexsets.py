@@ -13,16 +13,23 @@ from densitylab.indexsets import (
     INFINITE,
     NAT,
     ArithProg,
+    BlockPattern,
     Compl,
     Diff,
+    Fact,
     FactorialIntervals,
     FactorialPoints,
     Finite,
     IndexSetError,
     Inter,
     Interval,
+    Mul,
     NthElementError,
+    Num,
+    Sub,
     Union,
+    Var,
+    _check_pattern,
     count,
     elements_up_to,
     finiteness,
@@ -40,6 +47,8 @@ from densitylab.densities import density
 from densitylab.dsl import parse_set
 from densitylab.streams import Piecewise, _regions
 from densitylab.verification import membership_mask, random_decidable_set, random_periodic_set
+
+from conftest import DENSE_FAMILY
 
 FACTS = FactorialPoints(NAT)
 
@@ -408,6 +417,63 @@ def test_a_union_term_is_disjoint_from_the_complement_of_the_union():
             for left, right in ((x, Compl(u)), (Compl(u), x)):
                 if provably_disjoint(left, right):
                     assert not (membership_mask(left, n) & membership_mask(right, n)).any()
+
+
+def _default_region(rng):
+    """The default region of random disjoint clauses, as ``_regions`` builds it."""
+    if rng.random() < 0.5:  # a window of singleton clauses, as the grading corpus has
+        regions = [Finite((t,)) for t in rng.sample(range(1, 40), rng.randint(1, 5))]
+    else:
+        k = rng.randint(2, 5)
+        regions = [FactorialPoints(ArithProg(i, k)) for i in range(1, k + 1) if rng.random() < 0.7]
+    return _regions(Piecewise(0, [(r, 1) for r in regions]))[-1][0]
+
+
+def test_disjointness_from_a_finite_set_is_exact():
+    rng = random.Random(21)
+    for _ in range(400):
+        elements = rng.sample(range(1, 60), rng.randrange(0, 5))
+        elements += rng.sample((1, 2, 6, 24, 120, 720, 5040), rng.randrange(0, 3))
+        finite = Finite(tuple(sorted(set(elements))))
+        other = rng.choice((
+            lambda: random_decidable_set(rng),
+            lambda: FactorialPoints(ArithProg(rng.randint(1, 3), rng.randint(1, 3))),
+            lambda: DENSE_FAMILY,
+            lambda: FactorialIntervals(((rng.randint(1, 20), rng.randint(21, 60)),)),
+            lambda: _default_region(rng),
+        ))()
+        n = max(finite.elements, default=1)
+        disjoint = not (membership_mask(finite, n) & membership_mask(other, n)).any()
+        assert provably_disjoint(finite, other) == disjoint, (finite, other)
+        assert provably_disjoint(other, finite) == disjoint, (other, finite)
+
+
+_RISING_PAIRS = BlockPattern(lo=Fact(Sub(Mul(Num(2), Var()), Num(1))), hi=Fact(Mul(Num(2), Var())),
+                             start=2)
+
+
+def test_an_invalid_pattern_raises_on_every_construction():
+    overlapping = BlockPattern(lo=Var(), hi=Mul(Num(2), Var()))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IndexSetError) as raised:
+            FactorialIntervals(pattern=overlapping)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == "pattern block at k=2 overlaps the previous block"
+
+
+def test_explicit_blocks_are_part_of_the_pattern_check():
+    FactorialIntervals(pattern=_RISING_PAIRS)  # its first block is [3!, 4!]
+    FactorialIntervals(((1, 5),), _RISING_PAIRS)
+    with pytest.raises(IndexSetError, match="k=2 overlaps"):
+        FactorialIntervals(((1, 6),), _RISING_PAIRS)
+
+
+def test_a_valid_pattern_is_checked_once():
+    _check_pattern.cache_clear()
+    assert FactorialIntervals(pattern=_RISING_PAIRS) == FactorialIntervals(pattern=_RISING_PAIRS)
+    info = _check_pattern.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_literal_sets_are_nonempty_past_the_probe():
