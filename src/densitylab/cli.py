@@ -55,6 +55,17 @@ class ValueTooLongError(ValueError):
     """An exact value has more digits than Python will convert to text."""
 
 
+class UsageError(ValueError):
+    """The command line does not parse; reported with code usage_error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # Matched with isinstance, so subclasses such as OverlapError keep their code.
 _ERROR_CODES = (
     (ValueTooLongError, "value_too_long"),
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--parallelism", type=int, default=1)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densitylab",
         description="Exact asymptotic densities, dominance hierarchies, and "
         "verified welfare constructions.",
@@ -500,10 +511,9 @@ def _resolve_horizon(args) -> int:
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)  # subparsers share its class
         config = RunConfig(
             horizon=_resolve_horizon(args),
             checkpoint_max=args.checkpoint_max,

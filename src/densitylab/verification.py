@@ -2,8 +2,8 @@
 
 Each check returns a CheckResult with JSON-friendly details; the whole
 suite is deterministic for a fixed seed.  The brute-force counting oracle
-is a vectorized membership mask computed from the definitional semantics
-of each node, independent of the closed-form counting path; the grading
+is a membership bitset computed from the definitional semantics of each
+node, independent of the closed-form counting path; the grading
 oracle is a bipartite matching, independent of the sorted dominance.
 """
 
@@ -59,6 +59,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CheckResult",
+    "membership_bits",
     "membership_mask",
     "random_periodic_set",
     "random_decidable_set",
@@ -82,45 +83,71 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def membership_mask(s: IndexSet, n: int) -> np.ndarray:
-    """Boolean membership of 1..n by definitional semantics, vectorized."""
-    import numpy as np  # here, so that importing the CLI does not load numpy
+def _run(lo: int, hi: int) -> int:
+    """The bits of lo..hi, for 1 <= lo <= hi."""
+    return ((1 << (hi - lo + 1)) - 1) << (lo - 1)
 
+
+def membership_bits(s: IndexSet, n: int) -> int:
+    """Membership of 1..n by definitional semantics, as an integer bitset.
+
+    Bit t-1 is set iff t is in s, so the result lies in [0, 2**n) and its
+    ``bit_count()`` is the brute-force count of s up to n.
+    """
     if isinstance(s, Finite):
-        mask = np.zeros(n, dtype=bool)
+        bits = 0
         for e in s.elements:
             if e <= n:
-                mask[e - 1] = True
-        return mask
+                bits |= 1 << (e - 1)
+        return bits
     if isinstance(s, ArithProg):
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        return (idx >= s.a) & ((idx - s.a) % s.d == 0)
+        # Doubled along the binary digits of the number of terms, linear in
+        # n (dividing by 2**d - 1 is quadratic for large d).  With one term
+        # only zero is shifted by d, so d may be far wider than n.
+        if s.a > n:
+            return 0
+        bits = terms = 0
+        for digit in bin((n - s.a) // s.d + 1)[2:]:
+            bits |= bits << terms * s.d
+            terms *= 2
+            if digit == "1":
+                bits = bits << s.d | 1
+                terms += 1
+        return bits << (s.a - 1)
     if isinstance(s, Interval):
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        return (idx >= s.lo) & (idx <= s.hi)
+        return _run(s.lo, min(s.hi, n)) if s.lo <= n else 0
     if isinstance(s, FactorialPoints):
-        mask = np.zeros(n, dtype=bool)
+        bits = 0
         j, f = 1, 1
         while f <= n:
             if ix.member(s.base, j):
-                mask[f - 1] = True
+                bits |= 1 << (f - 1)
             j += 1
             f *= j
-        return mask
+        return bits
     if isinstance(s, FactorialIntervals):
-        mask = np.zeros(n, dtype=bool)
+        bits = 0
         for lo, hi in ix._blocks_up_to(s, n):
-            mask[lo - 1 : min(hi, n)] = True
-        return mask
+            bits |= _run(lo, min(hi, n))
+        return bits
     if isinstance(s, Union):
-        return membership_mask(s.left, n) | membership_mask(s.right, n)
+        return membership_bits(s.left, n) | membership_bits(s.right, n)
     if isinstance(s, Inter):
-        return membership_mask(s.left, n) & membership_mask(s.right, n)
+        return membership_bits(s.left, n) & membership_bits(s.right, n)
     if isinstance(s, Compl):
-        return ~membership_mask(s.arg, n)
+        return ((1 << n) - 1) ^ membership_bits(s.arg, n)
     if isinstance(s, Diff):
-        return membership_mask(s.left, n) & ~membership_mask(s.right, n)
+        return membership_bits(s.left, n) & ~membership_bits(s.right, n)
     raise TypeError(f"not an index set: {s!r}")
+
+
+def membership_mask(s: IndexSet, n: int) -> np.ndarray:
+    """``membership_bits`` as a boolean array: entry t-1 says whether t is in s."""
+    import numpy as np  # here, so that importing the CLI does not load numpy
+
+    packed = membership_bits(s, n).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(packed, np.uint8), count=n,
+                         bitorder="little").astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +319,7 @@ def check_density_oracle(rng: random.Random, sets: int = 200,
         s = random_decidable_set(rng)
         for n in checkpoints:
             structural = count(s, n)
-            brute = int(membership_mask(s, n).sum())
+            brute = membership_bits(s, n).bit_count()
             if structural != brute:
                 mismatches.append(
                     {"set": format_set(s), "n": n, "count": structural, "brute": brute}
@@ -453,7 +480,7 @@ def check_block_certificates(rng: random.Random, prefixes: int = 20,
             if checkpoint > brute_cap:
                 continue
             rows += 1
-            brute = int(membership_mask(u, checkpoint).sum())
+            brute = membership_bits(u, checkpoint).bit_count()
             if brute != counted:
                 failures.append({"seq": list(seq), "m": m, "counted": counted, "brute": brute})
             if Fraction(counted, checkpoint) < bound:

@@ -255,6 +255,29 @@ def _error_code(err):
     return json.loads(err.splitlines()[0])["error"]["code"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["density"], "the following arguments are required: set"),
+    (["density", "nat", "--horizon", "abc"], "argument --horizon: invalid int value: 'abc'"),
+    (["compare", "--axiom", "bogus", "--x", "0", "--y", "0"],
+     "argument --axiom: invalid choice: 'bogus'"),
+], ids=["missing_set", "bad_horizon", "bad_axiom"])
+def test_rejected_arguments_end_with_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and _error_code(err) == "usage_error"
+    assert message in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, text", [("--version", "densitylab "), ("--help", "usage: ")],
+                         ids=["version", "help"])
+def test_version_and_help_print_and_exit_zero(flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(text) and captured.err == ""
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5"])
 def test_horizon_below_one_rejected(horizon, monkeypatch):
     monkeypatch.delenv("DENSITYLAB_HORIZON", raising=False)
@@ -358,12 +381,13 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_cli_and_verify_leave_sympy_unloaded():
-    # A fresh process, since other tests import sympy as a cross-check.
+    # A fresh process, since other tests import sympy and numpy as
+    # cross-checks.  verify counts its brute-force oracle without numpy.
     code = (
         "import io, sys, densitylab.cli\n"
         "loaded = 'sympy' in sys.modules\n"
         "densitylab.cli.main(['verify', '--seed', '0'], stdout=io.StringIO(), stderr=io.StringIO())\n"
-        "sys.exit(loaded or 'sympy' in sys.modules)\n"
+        "sys.exit(loaded or 'sympy' in sys.modules or 'numpy' in sys.modules)\n"
     )
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
