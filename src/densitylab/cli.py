@@ -45,7 +45,7 @@ from .gadgets import (
 from .indexsets import IndexSetError
 from .streams import DEFAULT_HORIZON, StreamError, prefix, values
 from .verdicts import RelationVerdict
-from .verification import run_verification
+from .verification import SUITE_SIZES, run_verification
 from .welfare import EVALUATORS, SwfError, SwfValue, discounted_sum
 
 SCHEMA_VERSION = "1"
@@ -400,15 +400,10 @@ def _run_sequence_gadget(args, horizon: int, config: RunConfig) -> tuple[dict, i
 def run_verify(args, config: RunConfig) -> tuple[dict, int]:
     results = run_verification(
         seed=config.seed,
-        density_sets=args.density_sets,
-        chain_pairs=args.chain_pairs,
-        cesaro_trials=args.cesaro_trials,
-        grading_pairs=args.grading_pairs,
-        block_prefixes=args.block_prefixes,
-        ratio_max=args.ratio_max,
         horizon=config.horizon,
         inject_failure=args.inject_failure,
         parallelism=config.parallelism,
+        **{name: getattr(args, name) for name in SUITE_SIZES},
     )
     passed = sum(1 for r in results if r.passed)
     report = {
@@ -485,12 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_gadget)
 
     p = sub.add_parser("verify", parents=[common], help="run the full invariant suite")
-    p.add_argument("--density-sets", type=int, default=200)
-    p.add_argument("--chain-pairs", type=int, default=500)
-    p.add_argument("--cesaro-trials", type=int, default=100)
-    p.add_argument("--grading-pairs", type=int, default=100)
-    p.add_argument("--block-prefixes", type=int, default=20)
-    p.add_argument("--ratio-max", type=int, default=12)
+    for name, default in SUITE_SIZES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=run_verify)
     return parser

@@ -243,6 +243,11 @@ def _pattern_density(fi: FactorialIntervals):
 @lru_cache(maxsize=8192)
 def exact_density(s: IndexSet):
     """(lower, upper) as exact Fractions, or None when not structurally decided."""
+    if isinstance(s, Compl):  # before the profile, which lists the residues it lacks
+        d = exact_density(s.arg)
+        if d is None:
+            return None
+        return (1 - d[1], 1 - d[0])
     p = periodic_profile(s)
     if p is not None:
         d = p.density
@@ -254,11 +259,6 @@ def exact_density(s: IndexSet):
         if s.pattern is None:
             return _ZERO
         return _pattern_density(s)
-    if isinstance(s, Compl):
-        d = exact_density(s.arg)
-        if d is None:
-            return None
-        return (1 - d[1], 1 - d[0])
     if isinstance(s, Union):
         da = exact_density(s.left)
         db = exact_density(s.right)
@@ -398,15 +398,10 @@ def sym_diff_finite(a: IndexSet, b: IndexSet) -> bool | None:
     residue patterns or exact densities), None when undecided."""
     if a == b or _strip_finite_parts(a) == _strip_finite_parts(b):
         return True
-    pa = periodic_profile(a)
-    pb = periodic_profile(b)
-    if pa is not None and pb is not None:
-        period = math.lcm(pa.period, pb.period)
-        ra = {r for r in range(period) if r % pa.period in pa.residues}
-        rb = {r for r in range(period) if r % pb.period in pb.residues}
-        return ra == rb
     da = exact_density(a)
     db = exact_density(b)
     if da is not None and db is not None and da != db:
         return False
+    if periodic_profile(a) is not None and periodic_profile(b) is not None:
+        return not periodic_profile(Union(Diff(a, b), Diff(b, a))).residues
     return None

@@ -2,10 +2,12 @@
 
 An index set is an immutable AST built from finite sets, arithmetic
 progressions, integer intervals, factorial point sets, factorial interval
-families, and boolean combinators.  All counting is done with arbitrary
-precision integers and never by brute-force scanning: a boolean set is
-counted piece by piece between the run boundaries of its non-periodic
-leaves, each piece in closed form from the residues of its profile.
+families, and boolean combinators.  One walk reads every boolean set: it
+goes through the run boundaries of the set's leaves in order, each leaf's
+runs built lazily.  ``count`` walks the non-periodic leaves and counts each
+piece in closed form from the residues of its profile, never by
+brute-force scanning; ``segments`` and ``intervals`` walk every leaf and
+read the set's own runs and gaps from the pieces.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import enum
 import heapq
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
 
 __all__ = [
     "IndexSet",
@@ -343,7 +345,8 @@ def _blocks_up_to(s: FactorialIntervals, n: int):
             return
         yield lo, eval_bound(s.pattern.hi, k)
         k += 1
-    raise IndexSetError(f"block pattern produced more than {_BLOCK_ITER_CAP} blocks below {n}")
+    if eval_bound(s.pattern.lo, k) <= n:
+        raise IndexSetError(f"block pattern produced more than {_BLOCK_ITER_CAP} blocks below {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,84 +382,162 @@ def count(s: IndexSet, n: int) -> int:
 
 
 def _sweep(s: IndexSet, n: int) -> int:
-    """count of a boolean set: a walk over the run boundaries of its leaves."""
-    index: dict[IndexSet, int] = {}
-    tree = _compile(s, index)
-    leaves = tuple(index)
+    """count of a boolean set: the pieces of the walk over its leaves, the
+    tabled classes aside, each counted from the residues of the set that
+    the classes form there."""
+    tree, leaves, _ = _compiled(s)
     # A class of period d is tabled while a table stays within n/d residues,
     # the elements a walk of it would visit.  _fold leaves a complement only
     # at the top, counted as the rest of the piece; below it, classes of
-    # periods d_i and lcm l combine into at most min(l, sum of l/d_i).
+    # periods d_i and lcm l combine into at most min(l, sum of l/d_i).  A
+    # run [a, oo), a progression with d = 1 < a, is walked.
     dense, lcm, size = 0, 1, 0
     for d, i in sorted((leaf.d, i) for i, leaf in enumerate(leaves)
-                       if isinstance(leaf, ArithProg) and leaf.a <= leaf.d):
+                       if isinstance(leaf, ArithProg) and (leaf.d > 1 or leaf.a == 1)):
         grown = math.lcm(lcm, d)
         bound = min(grown, size * (grown // lcm) + grown // d)
         if bound * d <= n:
             dense, lcm, size = dense | 1 << i, grown, bound
-    edges = heapq.merge(*(
-        _edges(leaf, n, 1 << i) for i, leaf in enumerate(leaves) if not dense >> i & 1
-    ))
-    # Per value of the walked leaves: (complemented, period, sorted residues),
-    # a complement being counted as the rest of the piece.
-    tables: dict[int, tuple[bool, int, tuple[int, ...]]] = {}
-    total, state, lo = 0, 0, 1
-    for t, bit in chain(edges, [(n + 1, 0)]):
-        if t > lo:
-            if state not in tables:
-                x = _fold(tree, leaves, dense, state)
-                if type(x) is bool:  # the empty set, or its complement
-                    x = Compl(Finite()) if x else Finite()
-                negated = type(x) is Compl
-                p = periodic_profile(x.arg if negated else x)
-                tables[state] = (negated, p.period, tuple(sorted(p.residues)))
-            negated, period, residues = tables[state]
-            # Residues met in [0, t - 1] less those met in [0, lo - 1].
-            q1, r1 = divmod(t - 1, period)
-            q0, r0 = divmod(lo - 1, period)
-            met = ((q1 - q0) * len(residues)
-                   + bisect_right(residues, r1) - bisect_right(residues, r0))
-            total += t - lo - met if negated else met
-            lo = t
-        state ^= bit
+
+    # A tabled ArithProg(a, d) is its class from a on: walked as the run
+    # [a, oo) when a > d, and on from 1 otherwise, as no element of the
+    # class lies below a.
+    edges, on = [], 0
+    for i, leaf in enumerate(leaves):
+        if not dense >> i & 1:
+            edges.append(_edges(leaf, n, 1 << i))
+        elif leaf.a > leaf.d:
+            edges.append(_edges(ArithProg(leaf.a, 1), n, 1 << i))
+        else:
+            on |= 1 << i
+
+    def table(state: int) -> tuple[bool, int, tuple[int, ...]]:
+        """(complemented, period, sorted residues) of the set on a piece, a
+        complement being counted as the rest of the piece."""
+        x = _fold(tree, leaves, dense, state | on)
+        if type(x) is bool:  # the empty set, or its complement
+            x = Compl(Finite()) if x else Finite()
+        negated = type(x) is Compl
+        p = periodic_profile(x.arg if negated else x)
+        return negated, p.period, tuple(sorted(p.residues))
+
+    total = 0
+    for lo, hi, (negated, period, residues) in _walk(edges, n, _Memo(table)):
+        # Residues met in [0, hi] less those met in [0, lo - 1].
+        q1, r1 = divmod(hi, period)
+        q0, r0 = divmod(lo - 1, period)
+        met = ((q1 - q0) * len(residues)
+               + bisect_right(residues, r1) - bisect_right(residues, r0))
+        total += hi + 1 - lo - met if negated else met
     return total
+
+
+class _Memo(dict):
+    """The values of fn by argument, each computed on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+@lru_cache(maxsize=256)
+def _compiled(s: IndexSet) -> tuple[object, tuple[IndexSet, ...], _Memo]:
+    """s compiled once for its walks: its tree, its leaves, and whether s
+    holds on a piece, by the state of the leaves there.  Scans walk a few
+    sets many times; 8192 entries raised the peak RSS of perfbench's
+    query_mix by 6 MB, as most of its sets are walked once."""
+    index: dict[IndexSet, int] = {}
+    tree = _compile(s, index)
+    leaves = tuple(index)
+    return tree, leaves, _Memo(partial(_fold, tree, leaves, 0))
 
 
 def _compile(s: IndexSet, index: dict[IndexSet, int]):
     """s as a tree of (Compl, x), (Union, x, y) and (Inter, x, y) over leaf
-    numbers, numbering its leaves in ``index``.  A leaf ArithProg(a, d) is a
-    residue class when a <= d, which holds from 1 on, and the run [a, oo)
-    when d = 1 < a; any other progression is the two cut by each other."""
+    numbers, numbering its leaves in ``index``."""
     if isinstance(s, Compl):
         return Compl, _compile(s.arg, index)
     if isinstance(s, (Union, Inter)):
         return type(s), _compile(s.left, index), _compile(s.right, index)
     if isinstance(s, Diff):
         return Inter, _compile(s.left, index), (Compl, _compile(s.right, index))
-    if isinstance(s, ArithProg) and 1 < s.d < s.a:
-        return (Inter, _compile(ArithProg(s.a % s.d or s.d, s.d), index),
-                _compile(ArithProg(s.a, 1), index))
     return index.setdefault(s, len(index))
 
 
+def _walk(edges: list[Iterator[tuple[int, int]]], n: int, values: Mapping[int, object],
+          s: IndexSet | None = None) -> Iterator[tuple]:
+    """``(lo, hi, values[state])`` for pieces [lo, hi] that cover [1, n] in
+    order, cut at the ``(t, bit)`` edges of the leaves' runs and merged
+    while the value stays the same object; state holds the bits of the runs
+    that are on.  Runs are built lazily, so a bound is evaluated only when
+    the walk reaches the run before it.  When one cannot be, the
+    IndexSetError propagates; given the set s, the decided piece still
+    pending comes instead, and then single coordinates decided by
+    ``member(s, t)`` from the first undecided coordinate on."""
+    state, lo, start, v = 0, 1, 1, None  # [start, lo) holds v
+    rest = range(0)
+    try:
+        for t, bit in chain(edges[0] if len(edges) == 1 else heapq.merge(*edges), [(n + 1, 0)]):
+            if t > lo:
+                w = values[state]
+                if w is not v:
+                    if v is not None:
+                        yield start, lo - 1, v
+                    start, v = lo, w
+                lo = t
+            state ^= bit
+    except IndexSetError:
+        if s is None:
+            raise
+        rest = range(lo, n + 1)
+    if v is not None:
+        yield start, lo - 1, v
+    for t in rest:
+        yield t, t, member(s, t)
+
+
 def _edges(leaf: IndexSet, n: int, bit: int) -> Iterator[tuple[int, int]]:
-    """(t, bit) where a run of leaf below n starts and just after it ends."""
-    if isinstance(leaf, ArithProg) and leaf.d > 1:
-        elements = range(leaf.a, n + 1, leaf.d)  # not listed: there may be many
-        runs = zip(elements, elements)
-    else:
-        runs = intervals(leaf, n)
-    for lo, hi in runs:
-        yield lo, bit
-        yield hi + 1, bit
+    """(t, bit) where a run of leaf below n starts and where it ends."""
+    return zip(chain.from_iterable(_atom_runs(leaf, n)), repeat(bit))
+
+
+def _atom_runs(s: IndexSet, n: int) -> Iterator[tuple[int, int]]:
+    """The runs of an atom within [1, n] as half-open [lo, end), in
+    increasing order and lazily: a block's bounds, or a factorial's
+    membership in the base, are evaluated only once the runs before it are
+    taken.  Runs may touch."""
+    if isinstance(s, Finite):
+        elements = s.elements[: bisect_right(s.elements, n)]
+        return zip(elements, map((1).__add__, elements))
+    if isinstance(s, ArithProg) and s.d > 1:  # from ranges: there may be many
+        return zip(range(s.a, n + 1, s.d), range(s.a + 1, n + 2, s.d))
+    if isinstance(s, (ArithProg, Interval)):
+        lo, hi = (s.a, n) if isinstance(s, ArithProg) else (s.lo, min(s.hi, n))
+        return iter(((lo, hi + 1),) if lo <= n else ())
+    if isinstance(s, FactorialPoints):
+        return ((math.factorial(j), math.factorial(j) + 1)
+                for j in range(1, _max_factorial_index(n) + 1) if member(s.base, j))
+    if isinstance(s, FactorialIntervals):
+        return ((lo, min(hi, n) + 1) for lo, hi in _blocks_up_to(s, n))
+    raise TypeError(f"not an index set: {s!r}")
 
 
 def _fold(node, leaves: tuple[IndexSet, ...], dense: int, state: int) -> IndexSet | bool:
-    """The set at ``node`` with each walked leaf replaced by its value in
-    ``state``: a bool, or a combination of the dense classes by Union, Inter
-    and Diff, complemented at most once and then at the top."""
+    """The set at ``node`` with each leaf replaced by its value in ``state``:
+    False where it is off, and where it is on, True for a walked leaf and the
+    leaf itself for a dense class.  The result is a bool, or a combination of
+    the dense classes by Union, Inter and Diff, complemented at most once and
+    then at the top."""
     if type(node) is int:
-        return leaves[node] if dense >> node & 1 else bool(state >> node & 1)
+        if not state >> node & 1:
+            return False
+        return leaves[node] if dense >> node & 1 else True
     op = node[0]
     x = _fold(node[1], leaves, dense, state)
     if op is Compl:
@@ -548,115 +629,22 @@ def elements_up_to(s: IndexSet, n: int) -> list[int]:
 def segments(s: IndexSet, n: int) -> Iterator[tuple[int, int, bool]]:
     """``(lo, hi, inside)`` covering 1..n in order: the runs of s and the gaps.
 
-    When ``intervals`` cannot enumerate s to n, it fails for every bound
-    from some m0 on (a larger bound evaluates more), so the segments are
-    the runs below m0 and then single coordinates decided lazily by
-    ``member``.  An IndexSetError thus comes at the coordinate where
-    ``member`` raises, and not at all when the caller stops earlier:
-    ``intervals`` evaluates bounds that ``member`` may never reach.
+    They are the pieces of the count sweep with every leaf walked, merged
+    while s does not change, and are built lazily.  When a bound cannot be
+    evaluated, the segments are the decided run still pending and then
+    single coordinates decided by ``member``, from the first undecided
+    coordinate on.  An IndexSetError thus comes at the coordinate where
+    ``member`` raises, and not at all when the caller stops earlier.
     """
-    try:
-        runs = intervals(s, n)
-    except IndexSetError:
-        ok, bad = 0, n  # intervals(s, ok) succeeds, intervals(s, bad) raises
-        while bad - ok > 1:
-            mid = (ok + bad) // 2
-            try:
-                intervals(s, mid)
-                ok = mid
-            except IndexSetError:
-                bad = mid
-        yield from segments(s, ok)
-        yield from ((t, t, member(s, t)) for t in range(bad, n + 1))
-        return
-    cur = 1
-    for lo, hi in runs:
-        if lo > cur:
-            yield cur, lo - 1, False
-        yield lo, hi, True
-        cur = hi + 1
-    if cur <= n:
-        yield cur, n, False
+    _, leaves, inside = _compiled(s)
+    edges = [_edges(leaf, n, 1 << i) for i, leaf in enumerate(leaves)]
+    return _walk(edges, n, inside, s)
 
 
 def intervals(s: IndexSet, n: int) -> list[tuple[int, int]]:
-    """The maximal runs [lo, hi] of s within [1, n], in increasing order.
-
-    Atoms give their runs directly (an arithmetic progression with d > 1 one
-    run per element); boolean nodes merge their children's sorted runs in
-    linear time.  Raises IndexSetError when a bound below n cannot be
-    evaluated, for example past a block pattern's cap, even where ``member``
-    would stop before reaching it.
-    """
-    if n < 1:
-        return []
-    if isinstance(s, Finite):
-        return _coalesce((e, e) for e in s.elements[: bisect_right(s.elements, n)])
-    if isinstance(s, ArithProg):
-        if s.a > n:
-            return []
-        return [(s.a, n)] if s.d == 1 else [(t, t) for t in range(s.a, n + 1, s.d)]
-    if isinstance(s, Interval):
-        return [(s.lo, min(s.hi, n))] if s.lo <= n else []
-    if isinstance(s, FactorialPoints):
-        points = []
-        j, f = 1, 1
-        while f <= n:
-            if member(s.base, j):
-                points.append((f, f))
-            j += 1
-            f *= j
-        return _coalesce(points)
-    if isinstance(s, FactorialIntervals):
-        return _coalesce((lo, min(hi, n)) for lo, hi in _blocks_up_to(s, n))
-    if isinstance(s, Compl):
-        return _complement(intervals(s.arg, n), n)
-    if isinstance(s, Union):
-        return _coalesce(heapq.merge(intervals(s.left, n), intervals(s.right, n)))
-    if isinstance(s, Inter):
-        return _intersect(intervals(s.left, n), intervals(s.right, n))
-    if isinstance(s, Diff):
-        return _intersect(intervals(s.left, n), _complement(intervals(s.right, n), n))
-    raise TypeError(f"not an index set: {s!r}")
-
-
-def _coalesce(runs) -> list[tuple[int, int]]:
-    """Merge runs sorted by lo where they overlap or touch."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in runs:
-        if out and lo <= out[-1][1] + 1:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _complement(runs: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
-    out = []
-    cur = 1
-    for lo, hi in runs:
-        if lo > cur:
-            out.append((cur, lo - 1))
-        cur = hi + 1
-    if cur <= n:
-        out.append((cur, n))
-    return out
-
-
-def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+    """The maximal runs [lo, hi] of s within [1, n], in increasing order:
+    the inside ``segments``, with their errors."""
+    return [(lo, hi) for lo, hi, inside in segments(s, n) if inside]
 
 
 # ---------------------------------------------------------------------------

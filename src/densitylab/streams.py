@@ -234,8 +234,8 @@ def runs(x: Stream, n: int) -> Iterator[Run]:
     int rank at lo).  Runs come in order, cover 1..n and are built lazily from the
     ``segments`` of the stream's sets.  Every
     value equals ``eval_at(x, t)``: a piecewise overlap raises eval_at's
-    OverlapError at the first shared coordinate, and a set that
-    ``intervals`` cannot enumerate is walked by ``member``, one coordinate
+    OverlapError at the first shared coordinate, and past a bound that the
+    set walk cannot evaluate a set is read by ``member``, one coordinate
     per run, so its IndexSetError comes at the first coordinate whose
     membership cannot be decided, and not at all when the walk stops
     earlier.  A permuted walk buffers the base values up to the

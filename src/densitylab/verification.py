@@ -68,6 +68,7 @@ __all__ = [
     "brute_force_grading",
     "run_verification",
     "CHECK_NAMES",
+    "SUITE_SIZES",
 ]
 
 
@@ -311,8 +312,19 @@ def brute_force_grading(x, y, window) -> bool:
 # Suite checks
 # ---------------------------------------------------------------------------
 
+# The default size of each sized check, by the keyword of check_specs,
+# run_verification and the verify command: the one home of these defaults.
+SUITE_SIZES = {
+    "density_sets": 200,
+    "chain_pairs": 500,
+    "cesaro_trials": 100,
+    "grading_pairs": 100,
+    "block_prefixes": 20,
+    "ratio_max": 12,
+}
 
-def check_density_oracle(rng: random.Random, sets: int = 200,
+
+def check_density_oracle(rng: random.Random, sets: int = SUITE_SIZES["density_sets"],
                          checkpoints=(720, 5040, 40320)) -> CheckResult:
     mismatches = []
     for i in range(sets):
@@ -349,7 +361,7 @@ def check_reference_densities() -> CheckResult:
     return CheckResult(name="reference_densities", passed=ok, details={"rows": rows})
 
 
-def check_dominance_chain(rng: random.Random, pairs: int = 500,
+def check_dominance_chain(rng: random.Random, pairs: int = SUITE_SIZES["chain_pairs"],
                           horizon: int = DEFAULT_HORIZON) -> CheckResult:
     violations = []
     undecided = 0
@@ -372,7 +384,8 @@ def check_dominance_chain(rng: random.Random, pairs: int = 500,
     )
 
 
-def check_cesaro_properties(rng: random.Random, trials: int = 100) -> CheckResult:
+def check_cesaro_properties(rng: random.Random,
+                            trials: int = SUITE_SIZES["cesaro_trials"]) -> CheckResult:
     anomalies = []
     for i in range(trials):
         # Anonymity: a finite permutation never moves the Cesàro value.
@@ -450,7 +463,7 @@ def check_threshold_gadgets(horizon: int = DEFAULT_HORIZON) -> CheckResult:
     return CheckResult(name="threshold_gadgets", passed=ok, details={"rows": rows})
 
 
-def check_ratio_inequality(max_value: int = 12, ms=(2, 3, 4)) -> CheckResult:
+def check_ratio_inequality(max_value: int = SUITE_SIZES["ratio_max"], ms=(2, 3, 4)) -> CheckResult:
     failures = []
     checked = 0
     for m in ms:
@@ -468,7 +481,7 @@ def check_ratio_inequality(max_value: int = 12, ms=(2, 3, 4)) -> CheckResult:
     )
 
 
-def check_block_certificates(rng: random.Random, prefixes: int = 20,
+def check_block_certificates(rng: random.Random, prefixes: int = SUITE_SIZES["block_prefixes"],
                              brute_cap: int = 3628800) -> CheckResult:
     failures = []
     rows = 0
@@ -492,7 +505,8 @@ def check_block_certificates(rng: random.Random, prefixes: int = 20,
     )
 
 
-def check_grading_windows(rng: random.Random, pairs: int = 100) -> CheckResult:
+def check_grading_windows(rng: random.Random,
+                          pairs: int = SUITE_SIZES["grading_pairs"]) -> CheckResult:
     disagreements = []
     alternating_ok = False
     x = Piecewise(0, ((ArithProg(1, 2), Fraction(1)),))
@@ -577,29 +591,26 @@ CHECK_NAMES = (
 )
 
 
-def check_specs(
-    seed: int = 0,
-    density_sets: int = 200,
-    chain_pairs: int = 500,
-    cesaro_trials: int = 100,
-    grading_pairs: int = 100,
-    block_prefixes: int = 20,
-    ratio_max: int = 12,
-    horizon: int = DEFAULT_HORIZON,
-) -> list[tuple]:
-    """Deterministic (name, seed, kwargs) specs for the whole suite."""
+def check_specs(seed: int = 0, horizon: int = DEFAULT_HORIZON, **sizes: int) -> list[tuple]:
+    """Deterministic (name, seed, kwargs) specs for the whole suite, with
+    ``sizes`` in place of the matching SUITE_SIZES entries."""
+    unknown = sizes.keys() - SUITE_SIZES.keys()
+    if unknown:
+        raise TypeError(f"unknown suite sizes: {', '.join(sorted(unknown))}")
+    size = {**SUITE_SIZES, **sizes}
     rng = random.Random(seed)
     seeds = {name: rng.getrandbits(64) for name in CHECK_NAMES}
     return [
-        ("density_oracle", seeds["density_oracle"], {"sets": density_sets}),
+        ("density_oracle", seeds["density_oracle"], {"sets": size["density_sets"]}),
         ("reference_densities", 0, {}),
         ("dominance_chain", seeds["dominance_chain"],
-         {"pairs": chain_pairs, "horizon": horizon}),
-        ("cesaro_properties", seeds["cesaro_properties"], {"trials": cesaro_trials}),
+         {"pairs": size["chain_pairs"], "horizon": horizon}),
+        ("cesaro_properties", seeds["cesaro_properties"], {"trials": size["cesaro_trials"]}),
         ("threshold_gadgets", 0, {"horizon": horizon}),
-        ("ratio_inequality", 0, {"max_value": ratio_max}),
-        ("block_certificates", seeds["block_certificates"], {"prefixes": block_prefixes}),
-        ("grading_windows", seeds["grading_windows"], {"pairs": grading_pairs}),
+        ("ratio_inequality", 0, {"max_value": size["ratio_max"]}),
+        ("block_certificates", seeds["block_certificates"],
+         {"prefixes": size["block_prefixes"]}),
+        ("grading_windows", seeds["grading_windows"], {"pairs": size["grading_pairs"]}),
         ("sequence_chains", 0, {"horizon": horizon}),
         ("symmetric_difference", seeds["symmetric_difference"], {}),
     ]
@@ -631,31 +642,18 @@ def run_check(spec: tuple) -> CheckResult:
 
 def run_verification(
     seed: int = 0,
-    density_sets: int = 200,
-    chain_pairs: int = 500,
-    cesaro_trials: int = 100,
-    grading_pairs: int = 100,
-    block_prefixes: int = 20,
-    ratio_max: int = 12,
     horizon: int = DEFAULT_HORIZON,
     inject_failure: bool = False,
     parallelism: int = 1,
+    **sizes: int,
 ) -> list[CheckResult]:
-    """Run the whole invariant suite deterministically for the seed.
+    """Run the whole invariant suite deterministically for the seed, with
+    ``sizes`` as in ``check_specs``.
 
     With parallelism > 1 the checks run in worker processes; the report
     order stays that of the spec list either way.
     """
-    specs = check_specs(
-        seed=seed,
-        density_sets=density_sets,
-        chain_pairs=chain_pairs,
-        cesaro_trials=cesaro_trials,
-        grading_pairs=grading_pairs,
-        block_prefixes=block_prefixes,
-        ratio_max=ratio_max,
-        horizon=horizon,
-    )
+    specs = check_specs(seed=seed, horizon=horizon, **sizes)
     if parallelism > 1:
         import concurrent.futures
 

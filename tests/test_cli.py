@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -412,6 +413,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["exact"] is True
+
+
+def _limit_address_space_to_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_density_of_a_wide_complement_lists_no_period():
+    # The complement's profile would list about 10**9 residues.
+    proc = subprocess.run(
+        [sys.executable, "-m", "densitylab.cli", "density", "compl(ap(1,1000000007))"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space_to_1gb,
+    )
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)["results"]
+    assert r["exact"] is True and r["lower"] == r["upper"] == "1000000006/1000000007"
+
+
+def test_verify_suite_sizes_have_one_home():
+    from densitylab.verification import SUITE_SIZES
+
+    args = cli.build_parser().parse_args(["verify"])
+    assert {name: getattr(args, name) for name in SUITE_SIZES} == SUITE_SIZES
 
 
 def test_verify_in_process_leaves_the_collector_unfrozen():

@@ -1,5 +1,9 @@
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +160,30 @@ def test_sym_diff_structural_decisions():
     assert sym_diff_finite(FACTS, Diff(FACTS, Finite((1,)))) is True
     assert sym_diff_finite(ArithProg(1, 2), ArithProg(2, 2)) is False
     assert sym_diff_finite(FACTS, ArithProg(1, 2)) is False  # densities differ
+
+
+def _limit_address_space_to_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("a, b", [
+    ("ap(1,1000003)", "ap(2,1000033)"),  # densities differ
+    ("union(ap(1,10007),ap(2,10009))", "union(ap(2,10007),ap(1,10009))"),  # equal densities
+])
+def test_sym_diff_finite_of_wide_periods_lists_no_period(a, b):
+    # In a child with 1 GB of address space: listing a period of about
+    # 10**12 residues ends there in a MemoryError, not in a hang.
+    code = (
+        "import time\n"
+        "from densitylab.densities import sym_diff_finite\n"
+        "from densitylab.dsl import parse_set\n"
+        "start = time.perf_counter()\n"
+        f"assert sym_diff_finite(parse_set({a!r}), parse_set({b!r})) is False\n"
+        "assert time.perf_counter() - start < 1\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 0, proc.stderr
     assert sym_diff_finite(Inter(DENSE_FAMILY, ArithProg(1, 2)), Inter(DENSE_FAMILY, ArithProg(1, 3))) is None
 
 

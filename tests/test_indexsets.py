@@ -41,12 +41,18 @@ from densitylab.indexsets import (
     provably_disjoint,
     provably_empty,
     provably_nonempty,
+    segments,
 )
 
 from densitylab.densities import density
 from densitylab.dsl import parse_set
 from densitylab.streams import Piecewise, _regions
-from densitylab.verification import membership_mask, random_decidable_set, random_periodic_set
+from densitylab.verification import (
+    membership_bits,
+    membership_mask,
+    random_decidable_set,
+    random_periodic_set,
+)
 
 from conftest import DENSE_FAMILY
 
@@ -544,3 +550,83 @@ def test_elements_fall_back_to_member_past_the_block_cap():
         intervals(capped, 30000)
     assert elements_up_to(Inter(Finite(()), capped), 30000) == []
     assert elements_up_to(capped, 9) == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def test_block_cap_counts_the_blocks_that_start_below_n():
+    capped = parse_set("fintervals[(2k,2k+1)]")  # block k is [2k, 2k+1]
+    assert count(capped, 20000) == 19999  # exactly 10,000 blocks start at or below it
+    assert count(capped, 20001) == 20000
+    with pytest.raises(IndexSetError, match="more than 10000 blocks below 20002"):
+        count(capped, 20002)
+
+
+# -- the set walk --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 7, 720, 5040, 40320])
+def test_segments_alternate_and_match_the_oracle(n):
+    rng = random.Random(2300 + n)
+    for s in [random_decidable_set(rng) for _ in range(80)] + list(RUN_FAMILIES):
+        segs = list(segments(s, n))
+        assert segs[0][0] == 1 and segs[-1][1] == n, s
+        assert all(lo <= hi and type(inside) is bool for lo, hi, inside in segs)
+        assert all(a[1] + 1 == b[0] and a[2] is not b[2] for a, b in zip(segs, segs[1:])), s
+        bits = sum((1 << hi + 1 - lo) - 1 << lo - 1 for lo, hi, inside in segs if inside)
+        assert bits == membership_bits(s, n), s
+
+
+# Block 41's upper bound takes the factorial of -1: member raises from t = 82 on.
+FAILING_BLOCKS = parse_set("fintervals[(2k,2k+1+0*(40-k)!)]")
+
+
+def _with_failing_blocks(rng, depth):
+    """A random boolean combination that has FAILING_BLOCKS among its leaves."""
+    if depth == 0:
+        return FAILING_BLOCKS
+    inner = _with_failing_blocks(rng, depth - 1)
+    kind = rng.randrange(4)
+    if kind == 3:
+        return Compl(inner)
+    other = random_decidable_set(rng, 1)
+    left, right = (inner, other) if rng.random() < 0.5 else (other, inner)
+    return (Union, Inter, Diff)[kind](left, right)
+
+
+def test_walk_past_a_failing_bound_agrees_with_member():
+    rng = random.Random(2301)
+    start = time.perf_counter()
+    for _ in range(200):
+        s = _with_failing_blocks(rng, rng.randint(0, 3))
+        n = rng.choice([60, 81, 82, 83, 200, 720])
+        expected, error = [], None
+        for t in range(1, n + 1):
+            try:
+                expected.append(member(s, t))
+            except IndexSetError as e:
+                error = str(e)
+                break
+        walked = []
+        try:
+            for lo, hi, inside in segments(s, n):
+                walked += [inside] * (hi - lo + 1)
+        except IndexSetError as e:
+            assert str(e) == error, s
+        else:
+            assert error is None, s
+        assert walked == expected, s
+    assert time.perf_counter() - start < 5
+
+
+def test_a_progression_is_walked_from_its_first_element():
+    # Its residue class below a holds no element: a walk of it from the class
+    # would visit about 5 * 10**8 coordinates here.
+    late = ArithProg(10**9, 2)
+    n = 10**9 + 4
+    start = time.perf_counter()
+    assert list(segments(late, n)) == [
+        (1, 10**9 - 1, False), (10**9, 10**9, True), (10**9 + 1, 10**9 + 1, False),
+        (10**9 + 2, 10**9 + 2, True), (10**9 + 3, 10**9 + 3, False), (n, n, True),
+    ]
+    assert elements_up_to(Union(late, Finite((5,))), n) == [5, 10**9, 10**9 + 2, n]
+    assert count(Diff(late, Finite((10**9,))), n) == 2
+    assert time.perf_counter() - start < 1

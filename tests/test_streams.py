@@ -439,7 +439,7 @@ def test_cesaro_checkpoint_sums_match_reference():
 
 
 # {2, 3, ..., 81} and then an error: block 41's upper bound takes the factorial of -1.
-# intervals raises from n = 82 on, so the walk falls back to member coordinate by coordinate.
+# The walk cannot evaluate it past t = 81, so it falls back to member from t = 82 on.
 FAILING_BLOCKS = parse_set("fintervals[(2k,2k+1+0*(40-k)!)]")
 
 
@@ -472,8 +472,8 @@ def test_block_cap_is_not_reached_when_the_scan_stops_first():
 
 
 def test_block_cap_walk_reaches_the_error_quickly():
-    # intervals raises for every bound from some m0 on; the walk finds m0 by
-    # bisection and calls member only from there.
+    # The walk takes blocks lazily until the cap stops it at t = 20002, and
+    # calls member only from there.
     capped = parse_set("fintervals[(2k,2k+1)]")
     with pytest.raises(IndexSetError) as from_member:
         member(capped, 20002)
@@ -490,6 +490,22 @@ def test_block_cap_walk_reaches_the_error_quickly():
         scan_pair(x, constant(0), 30000)
     assert time.perf_counter() - start < 5
     assert str(from_scan.value) == str(from_member.value)
+
+
+def test_eval_at_and_values_raise_at_the_same_coordinate_past_the_block_cap():
+    capped = parse_set("fintervals[(2k,2k+1)]")  # block 10,001 starts at 20002
+    x = RankFill(Compl(capped))
+    walked = []
+    with pytest.raises(IndexSetError) as from_walk:
+        for v in values(x, 20010):
+            walked.append(v)
+    assert len(walked) == 20001
+    assert [eval_at(x, t) for t in (1, 2, 20000, 20001)] == [walked[t - 1] for t in (1, 2, 20000, 20001)]
+    with pytest.raises(IndexSetError) as from_eval:
+        eval_at(x, 20002)
+    with pytest.raises(IndexSetError) as from_member:
+        member(capped, 20002)
+    assert str(from_eval.value) == str(from_walk.value) == str(from_member.value)
 
 
 # -- the permuted walk yields maximal runs -------------------------------------

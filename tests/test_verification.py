@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import operator
@@ -8,9 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import densitylab
 from densitylab import indexsets as ix
+from densitylab import verification
 from densitylab.dsl import parse_set
 from densitylab.indexsets import (
     ArithProg,
@@ -27,6 +30,7 @@ from densitylab.indexsets import (
 from densitylab.streams import Piecewise, RankFill, eval_at
 from densitylab.verification import (
     CHECK_NAMES,
+    SUITE_SIZES,
     brute_force_grading,
     check_specs,
     membership_bits,
@@ -171,6 +175,24 @@ def test_specs_cover_all_checks():
 def test_run_check_deterministic():
     spec = check_specs(seed=5, density_sets=10)[0]
     assert run_check(spec) == run_check(spec)
+
+
+def test_suite_sizes_are_the_defaults_of_every_check():
+    specs = {name: kwargs for name, _, kwargs in check_specs(seed=5, density_sets=10)}
+    assert specs["density_oracle"] == {"sets": 10}
+    assert specs["dominance_chain"]["pairs"] == SUITE_SIZES["chain_pairs"]
+    assert specs["ratio_inequality"] == {"max_value": SUITE_SIZES["ratio_max"]}
+    with pytest.raises(TypeError, match="density_set"):
+        check_specs(seed=5, density_set=10)
+    for check, keyword, size in (
+        (verification.check_density_oracle, "sets", "density_sets"),
+        (verification.check_dominance_chain, "pairs", "chain_pairs"),
+        (verification.check_cesaro_properties, "trials", "cesaro_trials"),
+        (verification.check_grading_windows, "pairs", "grading_pairs"),
+        (verification.check_block_certificates, "prefixes", "block_prefixes"),
+        (verification.check_ratio_inequality, "max_value", "ratio_max"),
+    ):
+        assert inspect.signature(check).parameters[keyword].default == SUITE_SIZES[size]
 
 
 def test_injected_failure_appended():
