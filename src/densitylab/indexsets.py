@@ -761,6 +761,9 @@ def finiteness(s: IndexSet) -> int | Unbounded | None:
         if s.pattern is not None:
             return INFINITE
         return s.blocks[-1][1] if s.blocks else 0
+    if isinstance(s, Compl) and (p := periodic_profile(s.arg)) is not None:
+        # Read from the argument's residues: the complement's profile lists the rest.
+        return INFINITE if len(p.residues) < p.period else p.start - 1
     p = periodic_profile(s)
     if p is not None:
         return INFINITE if p.residues else p.start - 1

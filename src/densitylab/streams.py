@@ -29,7 +29,6 @@ from .indexsets import (
     count,
     is_finite,
     member,
-    periodic_profile,
     provably_disjoint,
     segments,
 )
@@ -55,8 +54,6 @@ __all__ = [
     "strict_set",
     "nonstrict_set",
     "weakly_dominates",
-    "stream_profile",
-    "StreamProfile",
     "Value",
     "DEFAULT_HORIZON",
 ]
@@ -577,55 +574,3 @@ def weakly_dominates(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> Re
     or undecided at the horizon."""
     return PairAnalysis(x, y, horizon).weak
 
-
-# ---------------------------------------------------------------------------
-# Eventual periodicity of streams
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamProfile:
-    """For t >= start, value(t) = values[t % period]."""
-
-    period: int
-    start: int
-    values: tuple[Fraction, ...]
-
-    @property
-    def mean(self) -> Fraction:
-        return Fraction(sum(self.values), self.period)
-
-
-def stream_profile(x: Stream) -> StreamProfile | None:
-    """An eventually-periodic description of x, when derivable."""
-    if isinstance(x, Piecewise):
-        profiles = []
-        for s, v in x.clauses:
-            p = periodic_profile(s)
-            if p is None:
-                return None
-            profiles.append((p, v))
-        period = 1
-        start = 1
-        for p, _ in profiles:
-            period = math.lcm(period, p.period)
-            start = max(start, p.start)
-        values = []
-        for r in range(period):
-            val = x.default
-            for p, v in profiles:
-                if r % p.period in p.residues:
-                    val = v
-                    break
-            values.append(val)
-        return StreamProfile(period=period, start=start, values=tuple(values))
-    if isinstance(x, Permuted):
-        base = stream_profile(x.base)
-        if base is None:
-            return None
-        return StreamProfile(
-            period=base.period,
-            start=max(base.start, x.perm.bound + 1),
-            values=base.values,
-        )
-    return None

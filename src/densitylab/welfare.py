@@ -1,9 +1,11 @@
 """Representable welfare evaluations of utility streams.
 
 Four evaluators: the Cesàro liminf of partial averages, the discounted
-sum, the minimum, and the coordinate liminf.  Values are exact for
-eventually-periodic streams; structurally divergent rank-fill streams get
-plus-infinity; everything else degrades to a flagged interval estimate.
+sum, the minimum, and the coordinate liminf.  Each reads the densities,
+profiles and finiteness of the stream's sets and never lists a period of
+the stream; where no structural rule decides a value it is a labelled
+interval (a certified one for the discounted sum, a checkpoint estimate
+for Cesàro, which never orders two streams).
 """
 
 from __future__ import annotations
@@ -13,17 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import exact_density
-from .indexsets import Compl, is_finite, provably_empty, provably_nonempty
-from .streams import (
-    Permuted,
-    Piecewise,
-    RankFill,
-    Stream,
-    _regions,
-    runs,
-    stream_profile,
-    values,
-)
+from .indexsets import Compl, intervals, is_finite, periodic_profile, provably_empty, provably_nonempty
+from .streams import Permuted, Piecewise, RankFill, Stream, _regions, prefix, runs, values
 
 __all__ = [
     "SwfValue",
@@ -75,23 +68,27 @@ _ESTIMATE_CHECKPOINTS = (120, 720, 1708, 5040)
 def cesaro_liminf(x: Stream) -> SwfValue:
     """liminf of (x_1 + ... + x_n) / n.
 
-    Exact for eventually-periodic streams (the mean over one tail period);
-    plus-infinity for rank-fill streams whose complement has exact density
-    one, where partial averages grow without bound; otherwise an interval
-    estimate from checkpoint partial averages.
+    Exact for a piecewise stream whose clause densities are exact, at most
+    one of them with lower != upper (``_piecewise_mean``); plus-infinity for
+    a rank-fill stream whose complement U' has exact positive lower density
+    d: from some n on count(U', n) >= d*n/2, so the ranks up to n sum to at
+    least (d*n/2)^2 / 2 and the average grows without bound.  A finite
+    permutation shifts partial sums by a bounded amount and keeps either
+    value.  Otherwise an interval estimate from checkpoint partial averages,
+    which certifies nothing.
     """
-    p = stream_profile(x)
-    if p is not None:
-        return SwfValue.finite(p.mean)
-    if isinstance(x, RankFill):
-        d = exact_density(Compl(x.fill_on))
-        if d == (Fraction(1), Fraction(1)):
-            return SwfValue.plus_infinity()
     if isinstance(x, Permuted):
         base = cesaro_liminf(x.base)
         if base.kind != "interval":
-            # A finite permutation shifts partial sums by a bounded amount.
             return base
+    elif isinstance(x, Piecewise):
+        mean = _piecewise_mean(x)
+        if mean is not None:
+            return SwfValue.finite(mean)
+    elif isinstance(x, RankFill):
+        d = exact_density(Compl(x.fill_on))
+        if d is not None and d[0] > 0:
+            return SwfValue.plus_infinity()
     # Partial sums at the checkpoints, an arithmetic series per run.
     evidence = []
     total = Fraction(0)
@@ -102,6 +99,27 @@ def cesaro_liminf(x: Stream) -> SwfValue:
         total += _run_sum(v, slope, hi - lo + 1)
     tail = [avg for _, avg in evidence[len(evidence) // 2 :]]
     return SwfValue.interval(min(tail), max(tail), evidence)
+
+
+def _piecewise_mean(x: Piecewise) -> Fraction | None:
+    """The liminf of x's averages from its clauses' exact densities, or None.
+
+    The average at n is default + sum c * count(S, n) / n over the clauses
+    (S, v), with c = v - default.  When every term but one converges, the
+    liminf is the sum of the limits plus the liminf of that one term:
+    c * lower for c > 0, c * upper for c < 0.
+    """
+    total, moving = x.default, 0
+    for s, v in x.clauses:
+        d = exact_density(s)
+        if d is None:
+            return None
+        c = v - x.default
+        moving += d[0] != d[1]
+        if moving > 1:
+            return None
+        total += c * (d[0] if c > 0 else d[1])
+    return total
 
 
 def _run_sum(v: Fraction, slope: int, m: int) -> Fraction:
@@ -122,11 +140,13 @@ def _value_bounds(x: Stream):
 def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9)) -> SwfValue:
     """Sum of delta^(t-1) * x_t.
 
-    Exact closed form for eventually-periodic streams; for other bounded
-    streams and for rank-fill streams, whose ranks grow at most linearly, an
-    interval of width at most tol from an exact partial sum plus exact tail
-    bounds.  Other streams without a structural value bound are rejected
-    since the series may diverge.
+    Exact in closed form when every clause set of a piecewise stream, or of
+    the base of a finitely permuted one, is eventually periodic
+    (``_periodic_sum``).  For other bounded streams and for rank-fill
+    streams, whose ranks grow at most linearly, an interval of width at
+    most tol from an exact partial sum plus exact tail bounds.  Other
+    streams without a structural value bound are rejected since the series
+    may diverge.
     """
     delta = Fraction(delta)
     tol = Fraction(tol)
@@ -134,14 +154,9 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
         raise SwfError(f"discount factor must be in (0, 1), got {delta}")
     if tol <= 0:
         raise SwfError("tolerance must be positive")
-    p = stream_profile(x)
-    if p is not None:
-        head = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, p.start - 1), 1))
-        cycle = sum(
-            (delta ** (p.start - 1 + i)) * p.values[(p.start + i) % p.period]
-            for i in range(p.period)
-        )
-        return SwfValue.finite(head + cycle / (1 - delta**p.period))
+    exact = _periodic_sum(x, delta)
+    if exact is not None:
+        return SwfValue.finite(exact)
     tail = _tail_bounds(x, delta)
     if tail is None:
         raise SwfError("stream has no structural value bound; series may diverge")
@@ -152,6 +167,40 @@ def discounted_sum(x: Stream, delta: Fraction, tol: Fraction = Fraction(1, 10**9
         lo, hi = tail(n, dn)
     partial = sum((delta ** (t - 1)) * v for t, v in enumerate(values(x, n), 1))
     return SwfValue.interval(partial + lo, partial + hi, evidence=((n, partial),))
+
+
+def _periodic_sum(x: Stream, delta: Fraction) -> Fraction | None:
+    """The exact sum when every clause set is eventually periodic, else None:
+    default / (1 - delta) plus (v - default) times the discounted mass of S
+    per clause (S, v).  A finite permutation moves only terms up to its bound."""
+    if isinstance(x, Permuted):
+        base = _periodic_sum(x.base, delta)
+        if base is None:
+            return None
+        head = prefix(x.base, x.perm.bound)
+        dt = Fraction(1)  # delta^(t-1)
+        for t, img in enumerate(x.perm.mapping, 1):
+            base += dt * (head[img - 1] - head[t - 1])
+            dt *= delta
+        return base
+    if not isinstance(x, Piecewise):
+        return None
+    masses = [_discounted_mass(s, delta) for s, _ in x.clauses]
+    if None in masses:
+        return None
+    return x.default / (1 - delta) + sum((v - x.default) * m for (_, v), m in zip(x.clauses, masses))
+
+
+def _discounted_mass(s, delta: Fraction) -> Fraction | None:
+    """The sum of delta^(t-1) over t in s from s's profile, or None without one:
+    a geometric series per run of s below the profile's start, and one per
+    residue from there on."""
+    p = periodic_profile(s)
+    if p is None:
+        return None
+    head = sum(delta ** (lo - 1) - delta**hi for lo, hi in intervals(s, p.start - 1)) / (1 - delta)
+    cycle = sum(delta ** ((r - p.start) % p.period) for r in p.residues)
+    return head + delta ** (p.start - 1) * cycle / (1 - delta**p.period)
 
 
 def _tail_bounds(x: Stream, delta: Fraction):
@@ -184,19 +233,9 @@ def min_swf(x: Stream) -> SwfValue:
             return SwfValue.finite(Fraction(2))
         raise SwfError("attainment of the fill value is undecided")
     if isinstance(x, Piecewise):
-        attained = []
-        uncertain = []
-        for region, v in _regions(x):
-            if provably_nonempty(region):
-                attained.append(v)
-            elif not provably_empty(region):
-                uncertain.append(v)
-        if not attained:
-            raise SwfError("no region is provably nonempty")
-        m = min(attained)
-        if any(v < m for v in uncertain):
-            raise SwfError("minimum depends on a region with undecided attainment")
-        return SwfValue.finite(m)
+        return _least_value(
+            x, lambda r: provably_nonempty(r) or (False if provably_empty(r) else None),
+            "no region is provably nonempty", "minimum depends on a region with undecided attainment")
     raise TypeError(f"not a stream: {x!r}")
 
 
@@ -212,25 +251,23 @@ def liminf_swf(x: Stream) -> SwfValue:
             # Only rank values remain eventually, and those grow without bound.
             return SwfValue.plus_infinity()
         raise SwfError("infinitude of the fill set is undecided")
-    p = stream_profile(x)
-    if p is not None:
-        return SwfValue.finite(min(p.values))
     if isinstance(x, Piecewise):
-        recurring = []
-        uncertain = []
-        for region, v in _regions(x):
-            fin = is_finite(region)
-            if fin is False:
-                recurring.append(v)
-            elif fin is None:
-                uncertain.append(v)
-        if not recurring:
-            raise SwfError("no region is provably infinite")
-        m = min(recurring)
-        if any(v < m for v in uncertain):
-            raise SwfError("liminf depends on a region of undecided infinitude")
-        return SwfValue.finite(m)
+        return _least_value(
+            x, lambda r: None if (f := is_finite(r)) is None else not f,
+            "no region is provably infinite", "liminf depends on a region of undecided infinitude")
     raise TypeError(f"not a stream: {x!r}")
+
+
+def _least_value(x: Piecewise, taken, none: str, depends: str) -> SwfValue:
+    """The least value on a region that ``taken`` proves to count (True),
+    unless a region it leaves undecided (None) holds a smaller one."""
+    regions = [(taken(region), v) for region, v in _regions(x)]
+    if not any(t for t, _ in regions):
+        raise SwfError(none)
+    m = min(v for t, v in regions if t)
+    if any(t is None and v < m for t, v in regions):
+        raise SwfError(depends)
+    return SwfValue.finite(m)
 
 
 class Ordering(enum.Enum):
@@ -262,8 +299,8 @@ def _as_interval(v: SwfValue):
 def induced_compare(which: str, x: Stream, y: Stream, **kwargs) -> Ordering:
     """Order x against y by the welfare values of the named evaluator.
 
-    Overlapping interval estimates, and a pair of divergent values, are
-    reported as undecided rather than ranked.
+    A Cesàro checkpoint estimate, overlapping discounted intervals and a
+    pair of divergent values are reported as undecided rather than ranked.
     """
     if which not in EVALUATORS:
         raise SwfError(f"unknown evaluator {which!r}; choose from {sorted(EVALUATORS)}")
@@ -272,6 +309,8 @@ def induced_compare(which: str, x: Stream, y: Stream, **kwargs) -> Ordering:
     evaluator = EVALUATORS[which]
     wx = evaluator(x, **kwargs)
     wy = evaluator(y, **kwargs)
+    if which == "cesaro" and "interval" in (wx.kind, wy.kind):
+        return Ordering.UNDECIDED
     if wx.kind == "plus_infinity" and wy.kind == "plus_infinity":
         return Ordering.UNDECIDED
     if wx.kind == "plus_infinity":

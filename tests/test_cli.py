@@ -430,6 +430,25 @@ def test_density_of_a_wide_complement_lists_no_period():
     assert r["exact"] is True and r["lower"] == r["upper"] == "1000000006/1000000007"
 
 
+@pytest.mark.parametrize("which, value", [("cesaro", "1/1000000007"), ("liminf", "0"), ("min", "0")])
+def test_welfare_of_a_wide_period_lists_no_period(which, value):
+    # One value per residue of the period would be about 10**9 values.
+    code = (
+        "import io, json, time\n"
+        "from densitylab.cli import main\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        f"argv = ['swf', '--which', {which!r}, '--x', 'piecewise(default=0;ap(1,1000000007):1)']\n"
+        "assert main(argv, stdout=out, stderr=io.StringIO()) == 0\n"
+        "assert time.perf_counter() - start < 1\n"
+        "print(json.loads(out.getvalue())['results']['value'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == value
+
+
 def test_verify_suite_sizes_have_one_home():
     from densitylab.verification import SUITE_SIZES
 

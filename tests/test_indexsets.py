@@ -309,6 +309,14 @@ def test_profile_absent_for_factorials():
     assert periodic_profile(FactorialPoints(Finite((2, 4)))) is not None
 
 
+def test_finiteness_of_a_periodic_complement_reads_the_argument():
+    rng = random.Random(24)
+    for _ in range(200):
+        a = random_periodic_set(rng)
+        q = periodic_profile(Compl(a))
+        assert finiteness(Compl(a)) == (INFINITE if q.residues else q.start - 1), a
+
+
 def test_finiteness():
     assert finiteness(Finite((1, 2))) == 2
     assert finiteness(ArithProg(1, 2)) is INFINITE

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,16 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab.dsl import parse_stream
 from densitylab.indexsets import (
     NAT,
     ArithProg,
     Compl,
     Diff,
+    FactorialIntervals,
     FactorialPoints,
     Finite,
+    Inter,
+    Interval,
+    Union,
+    periodic_profile,
 )
 from densitylab.streams import (
     FinitePermutation,
+    Permuted,
     Piecewise,
     RankFill,
     apply_permutation,
@@ -32,7 +40,12 @@ from densitylab.welfare import (
     liminf_swf,
     min_swf,
 )
-from densitylab.verification import membership_mask
+from densitylab.verification import (
+    membership_bits,
+    membership_mask,
+    random_chain_pair,
+    random_periodic_set,
+)
 
 FACTS = FactorialPoints(NAT)
 EVENS_INDICATOR = Piecewise(0, ((ArithProg(2, 2), Fraction(1)),))
@@ -68,25 +81,21 @@ def test_cesaro_interval_estimate_for_unresolved_streams():
 
 
 def test_cesaro_partial_averages_approach_exact_value():
-    # |sum(x, 1..n)/n - mean| <= C/n at factorial checkpoints, with C
-    # bounded by the profile start and one period of deviations
-    import math
-
-    import numpy as np
-
-    from densitylab.streams import stream_profile
-    from densitylab.verification import membership_mask
-
+    # |sum(x, 1..n)/n - mean| <= C/n at factorial checkpoints: a clause set
+    # with profile p counts within p.start + p.period of n * density, and
+    # its term in the average is weighted by |v - default|.
     x = Piecewise(Fraction(1, 3), ((ArithProg(2, 4), Fraction(2)), (ArithProg(3, 4), Fraction(1)),))
-    p = stream_profile(x)
     mean = cesaro_liminf(x).value
-    c_bound = (p.start + p.period) * (max(abs(v) for v in p.values) + abs(mean) + 1)
+    c_bound = 0
+    for s, v in x.clauses:
+        p = periodic_profile(s)
+        c_bound += abs(v - x.default) * (p.start + p.period)
     for k in range(3, 9):
         n = math.factorial(k)
         total = Fraction(x.default) * n
         for s, v in x.clauses:
             total += (v - x.default) * int(membership_mask(s, n).sum())
-        assert abs(total / n - mean) <= Fraction(c_bound, n)
+        assert abs(total / n - mean) <= c_bound / n
 
 
 def test_cesaro_ignores_finite_permutations():
@@ -108,6 +117,102 @@ def test_cesaro_strictly_sensitive_to_cofinite_gains():
     )
     wx, wy = cesaro_liminf(x), cesaro_liminf(y)
     assert wx.value - wy.value == Fraction(1, 2)
+
+
+def _leaves(s):
+    if isinstance(s, Compl):
+        return _leaves(s.arg)
+    if isinstance(s, (Union, Inter, Diff)):
+        return _leaves(s.left) + _leaves(s.right)
+    return [s]
+
+
+def test_exact_cesaro_of_factorial_chain_streams_is_the_window_mean():
+    # On [5041, 37800] these streams are periodic with a period dividing
+    # 2520 (no factorial lies there), so the window mean is the value.
+    lo, hi = 5041, 37800
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(150):
+        for x in random_chain_pair(rng):
+            leaves = [a for s, _ in x.clauses for a in _leaves(s)]
+            if not any(isinstance(a, FactorialPoints) for a in leaves) or any(
+                    isinstance(a, FactorialIntervals) for a in leaves):
+                continue
+            width = hi - lo + 1
+            total = x.default * width + sum(
+                (v - x.default) * (membership_bits(s, hi) >> (lo - 1)).bit_count()
+                for s, v in x.clauses)
+            assert cesaro_liminf(x) == SwfValue.finite(total / width), x
+            checked += 1
+    assert checked >= 30
+
+
+def test_cesaro_orderings_that_estimates_once_decided():
+    # Left value +inf: the complement of the fill set has density 1/2.
+    assert induced_compare("cesaro", parse_stream("rankfill(ap(1,2))"),
+                           constant(100000)) is Ordering.ABOVE
+    # Both values 2: the factorials have density 0.
+    assert induced_compare("cesaro", parse_stream("piecewise(default=2;factorials(nat):3)"),
+                           constant(2)) is Ordering.EQUIVALENT
+    # Both values are 1, but only an estimate is known for the left one.
+    assert induced_compare("cesaro", parse_stream("rankfill(compl(factorials(nat)))"),
+                           constant(1)) is Ordering.UNDECIDED
+
+
+def test_cesaro_of_a_clause_without_a_density_limit():
+    # The family has lower density 0 and upper density 1: a gain counts its
+    # lower density, a loss its upper one.
+    family = "fintervals[((2k-1)!,(2k)!)]"
+    assert cesaro_liminf(parse_stream(f"piecewise(default=1;{family}:3)")) == SwfValue.finite(1)
+    assert cesaro_liminf(parse_stream(f"piecewise(default=1;{family}:-1)")) == SwfValue.finite(-1)
+    # Two such terms: the liminf of their sum is not the sum of their liminfs.
+    both = parse_stream(f"piecewise(default=0;{family}:1;compl({family}):2)")
+    assert cesaro_liminf(both).kind == "interval"
+
+
+def _reference_profile(x):
+    """(period, start, values) with x_t = values[t % period] for t >= start:
+    one value per residue of the lcm of the clause periods."""
+    if isinstance(x, Permuted):
+        period, start, values = _reference_profile(x.base)
+        return period, max(start, x.perm.bound + 1), values
+    profiles = [periodic_profile(s) for s, _ in x.clauses]
+    period = math.lcm(1, *(p.period for p in profiles))
+    start = max((p.start for p in profiles), default=1)
+    values = [next((v for p, (_, v) in zip(profiles, x.clauses) if r % p.period in p.residues),
+                   x.default) for r in range(period)]
+    return period, start, values
+
+
+def _random_periodic_stream(rng):
+    clauses, used = [], Finite(())
+    for _ in range(rng.randint(0, 3)):
+        s = random_periodic_set(rng)
+        clauses.append((Diff(s, used), Fraction(rng.randint(-4, 4), rng.choice((1, 2)))))
+        used = Union(used, s)
+    return Piecewise(rng.randint(-3, 3), clauses)
+
+
+def test_values_match_a_reference_listing_one_value_per_residue():
+    rng = random.Random(7)
+    streams = [Piecewise(0, ((ArithProg(2, 2), Fraction(1)),)),
+               Piecewise(3, ((ArithProg(1, 4), Fraction(1)), (Interval(2, 4), Fraction(0))))]
+    streams += [_random_periodic_stream(rng) for _ in range(60)]
+    for x in streams:
+        n = rng.randint(1, 30)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        for z in (x, apply_permutation(x, FinitePermutation(n, tuple(images)))):
+            period, start, values = _reference_profile(z)
+            assert cesaro_liminf(z) == SwfValue.finite(Fraction(sum(values), period)), z
+            assert liminf_swf(z) == SwfValue.finite(min(values)), z
+            for delta in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+                head = sum(delta ** (t - 1) * v for t, v in enumerate(prefix(z, start - 1), 1))
+                cycle = sum(delta ** (start - 1 + i) * values[(start + i) % period]
+                            for i in range(period))
+                want = head + cycle / (1 - delta**period)
+                assert discounted_sum(z, delta) == SwfValue.finite(want), (z, delta)
 
 
 # -- discounted sum ---------------------------------------------------------------
