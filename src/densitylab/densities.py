@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from . import indexsets as ix
 from .indexsets import (
+    INFINITE,
     BlockPattern,
     Compl,
     Diff,
@@ -28,6 +29,7 @@ from .indexsets import (
     Inter,
     Union,
     count,
+    finiteness,
     is_finite,
     periodic_profile,
     provably_disjoint,
@@ -39,6 +41,7 @@ __all__ = [
     "density",
     "checkpoint_schedule",
     "sym_diff_finite",
+    "finiteness_with_density",
     "DEFAULT_CHECKPOINT_MAX",
 ]
 
@@ -143,15 +146,28 @@ def _fact(x):
     return {a: (poly, _UNIT) if b >= 0 else (_UNIT, poly)}
 
 
-def _terms(expr, shift: int):
-    """The slope terms of a bound expression at k + shift, or None."""
+class _Unvalued(Exception):
+    """A factorial whose argument ``_fact`` rejects, met by ``_terms`` with
+    ``valued``."""
+
+
+def _terms(expr, shift: int, valued: bool = False):
+    """The slope terms of a bound expression at k + shift, or None.
+
+    A factorial whose argument ``_fact`` rejects is None, and zero times it
+    is 0, as sympy folds it.  With ``valued`` it raises ``_Unvalued``
+    instead, zero factor or not: the bound may have no value for large k,
+    as 0 * (40 - k)! has none from k = 41."""
     if isinstance(expr, ix.Num):
         return {0: ((Fraction(expr.value),), _UNIT)} if expr.value else {}
     if isinstance(expr, ix.Var):
         return {0: ((Fraction(shift), Fraction(1)), _UNIT)}
     if isinstance(expr, ix.Fact):
-        return _fact(_terms(expr.arg, shift))
-    x, y = _terms(expr.left, shift), _terms(expr.right, shift)
+        fact = _fact(_terms(expr.arg, shift, valued))
+        if fact is None and valued:
+            raise _Unvalued(expr)
+        return fact
+    x, y = _terms(expr.left, shift, valued), _terms(expr.right, shift, valued)
     if isinstance(expr, (ix.Add, ix.Sub)):
         if x is None or y is None:
             return None
@@ -200,11 +216,19 @@ def _ratio_limit(top, bottom):
 
 
 @lru_cache(maxsize=512)
-def _pattern_limits(pattern: BlockPattern):
-    """(lim lo_k/hi_k, lim hi_k/lo_{k+1}) for a block pattern, or None."""
-    lo, hi = _terms(pattern.lo, 0), _terms(pattern.hi, 0)
+def _pattern_limits(pattern: BlockPattern, valued: bool = False):
+    """(lim lo_k/hi_k, lim hi_k/lo_{k+1}) for a block pattern, or None.
+
+    With ``valued``, also None when a bound has a factorial outside the
+    fragment, even one that a zero factor folds away: exact densities are
+    read only from bounds that have a value for every k."""
+    try:
+        lo, hi = _terms(pattern.lo, 0, valued), _terms(pattern.hi, 0, valued)
+        next_lo = _terms(pattern.lo, 1, valued)
+    except _Unvalued:
+        return None
     l1 = _ratio_limit(lo, hi)
-    l2 = _ratio_limit(hi, _terms(pattern.lo, 1))
+    l2 = _ratio_limit(hi, next_lo)
     if l1 is None or l2 is None:
         return None
     return (l1, l2)
@@ -219,7 +243,7 @@ def _pattern_density(fi: FactorialIntervals):
     hi/next-lo exist with L1*L2 < 1, the peak ratios converge to
     a* = (1 - L1) / (1 - L1*L2) and the troughs to a* * L2.
     """
-    lims = _pattern_limits(fi.pattern)
+    lims = _pattern_limits(fi.pattern, valued=True)
     if lims is None:
         return None
     l1, l2 = lims
@@ -320,12 +344,38 @@ def contains_long_intervals(s: IndexSet) -> bool:
     of block patterns with the analogous gap-ratio behavior.
     """
     if isinstance(s, FactorialIntervals) and s.pattern is not None:
-        lims = _pattern_limits(s.pattern)
+        lims = _pattern_limits(s.pattern, valued=True)
         return lims is not None and lims[0] < 1
     if isinstance(s, Compl) and isinstance(s.arg, FactorialIntervals) and s.arg.pattern is not None:
-        lims = _pattern_limits(s.arg.pattern)
+        lims = _pattern_limits(s.arg.pattern, valued=True)
         return lims is not None and lims[1] < 1
     return False
+
+
+def finiteness_with_density(s):
+    """``finiteness``, falling back to exact densities for infinitude.
+
+    A set with positive exact lower density is infinite even when the
+    shape alone does not decide it, and so is the intersection of an
+    infinite periodic set with a set containing unboundedly long
+    intervals.
+    """
+    f = finiteness(s)
+    if f is not None:
+        return f
+    if contains_long_intervals(s):
+        return INFINITE
+    d = exact_density(s)
+    if d is not None and d[0] > 0:
+        return INFINITE
+    if isinstance(s, Inter):
+        for a, b in ((s.left, s.right), (s.right, s.left)):
+            p = periodic_profile(a)
+            if p is not None and p.residues and contains_long_intervals(b):
+                return INFINITE
+    if isinstance(s, Union) and INFINITE in (finiteness_with_density(s.left), finiteness_with_density(s.right)):
+        return INFINITE
+    return None
 
 
 def checkpoint_schedule(max_n: int = DEFAULT_CHECKPOINT_MAX) -> tuple[int, ...]:

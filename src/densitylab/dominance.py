@@ -11,29 +11,29 @@ anonymity equivalence under finite permutations.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from . import verdicts
-from .densities import contains_long_intervals, density, exact_density
+from .densities import density, finiteness_with_density
 from .indexsets import (
     INFINITE,
     NAT,
     Diff,
     Finite,
-    Inter,
     Union,
     count,
     elements_up_to,
-    finiteness,
     is_finite,
+    member,
     nth_element,
-    periodic_profile,
     provably_empty,
     provably_nonempty,
 )
 from .streams import (
     DEFAULT_HORIZON,
+    WINDOW_CAP,
     PairAnalysis,
     RankFill,
     Stream,
@@ -64,36 +64,6 @@ __all__ = [
 ]
 
 
-# Difference windows above this bound are not materialized.
-_WINDOW_CAP = 1_000_000
-
-
-def _finiteness(s):
-    """``finiteness``, falling back to exact densities for infinitude.
-
-    A set with positive exact lower density is infinite even when the
-    shape alone does not decide it, and so is the intersection of an
-    infinite periodic set with a set containing unboundedly long
-    intervals.
-    """
-    f = finiteness(s)
-    if f is not None:
-        return f
-    if contains_long_intervals(s):
-        return INFINITE
-    d = exact_density(s)
-    if d is not None and d[0] > 0:
-        return INFINITE
-    if isinstance(s, Inter):
-        for a, b in ((s.left, s.right), (s.right, s.left)):
-            p = periodic_profile(a)
-            if p is not None and p.residues and contains_long_intervals(b):
-                return INFINITE
-    if isinstance(s, Union) and INFINITE in (_finiteness(s.left), _finiteness(s.right)):
-        return INFINITE
-    return None
-
-
 def _gate(name: str, a: PairAnalysis) -> RelationVerdict:
     """Predicate ``name`` on the pair behind the common precondition x >= y:
     its failure is the verdict, and a Holds stands only where weak dominance
@@ -121,7 +91,7 @@ def _pareto(a: PairAnalysis) -> RelationVerdict:
         if t is None:
             return verdicts.undecided(horizon=a.horizon, note="no strict coordinate scanned")
         return verdicts.holds(witness_set=Finite((t,)), note=f"strict at t={t} (scan)")
-    if _finiteness(s) is INFINITE or provably_nonempty(s, a.horizon):
+    if finiteness_with_density(s) is INFINITE or provably_nonempty(s, a.horizon):
         return _witnessed(s)
     if provably_empty(s):
         return verdicts.fails(note="strict set is provably empty")
@@ -132,7 +102,7 @@ def _infinite(a: PairAnalysis) -> RelationVerdict:
     s = a.strict
     if s is None:
         return verdicts.undecided(horizon=a.horizon, note="infinitude is not scan-decidable")
-    f = _finiteness(s)
+    f = finiteness_with_density(s)
     if f is INFINITE:
         return _witnessed(s)
     if f is not None:
@@ -163,7 +133,7 @@ def _almost_weak(a: PairAnalysis) -> RelationVerdict:
     ns = a.nonstrict
     if ns is None:
         return verdicts.undecided(horizon=a.horizon, note="cofiniteness is not scan-decidable")
-    f = _finiteness(ns)
+    f = finiteness_with_density(ns)
     if isinstance(f, int):
         return _witnessed(a.strict)
     if f is INFINITE:
@@ -284,7 +254,7 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
     sxy, syx = a.strict, a.reverse
     if sxy is None:
         return verdicts.undecided(horizon=horizon, note="difference structure not derivable")
-    fxy, fyx = _finiteness(sxy), _finiteness(syx)
+    fxy, fyx = finiteness_with_density(sxy), finiteness_with_density(syx)
     if fyx is INFINITE:
         if fxy is INFINITE:
             return verdicts.incomparable(note="both strict sets are infinite")
@@ -296,7 +266,7 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
     # dominance, and coordinates beyond the window satisfy x >= y.
     if isinstance(fxy, int):
         bound = max(fxy, fyx)
-        if bound > _WINDOW_CAP:
+        if bound > WINDOW_CAP:
             return verdicts.undecided(
                 horizon=horizon, note=f"difference window bound {bound} too large to materialize"
             )
@@ -324,14 +294,30 @@ def suppes_sen_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> 
 
 
 def lex_compare(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -> RelationVerdict:
-    """Strictly-above in the lexicographic order, scanning to the horizon."""
-    violation, _ = scan_pair(x, y, horizon, expected_strict=Finite(()))
-    if violation:
-        t, xt, yt = violation
-        if xt > yt:
+    """Strictly-above in the lexicographic order: x is above y at their
+    first difference.
+
+    For a counted pair (``PairAnalysis.counted``) the first difference is
+    the least element of D = strict ∪ reverse (``PairAnalysis.least``, past
+    the horizon too), and D empty means the streams are equal pointwise.
+    Other pairs are scanned to the horizon.
+    """
+    a = PairAnalysis(x, y, horizon)
+    t = above = None
+    if not a.counted:
+        violation, _ = scan_pair(x, y, horizon, expected_strict=Finite(()))
+        if violation:
+            t, above = violation[0], violation[1] > violation[2]
+    elif not a.equal:
+        t = a.least(Union(a.strict, a.reverse))
+        if t == math.inf:
+            return verdicts.fails(note="streams are equal pointwise")
+        above = t is not None and member(a.strict, t)
+    if t is not None:
+        if above:
             return verdicts.holds(witness_set=Finite((t,)), note=f"first difference at t={t}")
         return verdicts.fails(counterexample=t)
-    if x == y:
+    if a.equal:
         return verdicts.fails(note="streams are structurally equal")
     return verdicts.undecided(horizon=horizon, note="no difference below the horizon")
 
@@ -355,10 +341,10 @@ def anonymity_equivalent(x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON) -
             return False
     a = PairAnalysis(x, y, horizon)
     if a.strict is not None:
-        bounds = (_finiteness(a.strict), _finiteness(a.reverse))
+        bounds = (finiteness_with_density(a.strict), finiteness_with_density(a.reverse))
         if INFINITE in bounds:
             return False
-        if None not in bounds and max(bounds) <= _WINDOW_CAP:
+        if None not in bounds and max(bounds) <= WINDOW_CAP:
             horizon = max(horizon, *bounds)  # the streams agree beyond the bounds
     # The balance is the value histogram of x minus that of y through the
     # horizon: equal coordinates cancel, so it is zero exactly when the

@@ -54,6 +54,7 @@ __all__ = [
     "eval_bound",
     "bound_uses_var",
     "periodic_profile",
+    "profile_period",
     "finiteness",
     "is_finite",
     "INFINITE",
@@ -712,6 +713,20 @@ def periodic_profile(s: IndexSet) -> Profile | None:
     return None
 
 
+def profile_period(s: IndexSet) -> int:
+    """The lcm of the progression differences in s, read from its shape: no
+    profile built over s, nor any built on the way, lists more residues."""
+    if isinstance(s, ArithProg):
+        return s.d
+    if isinstance(s, Compl):
+        return profile_period(s.arg)
+    if isinstance(s, FactorialPoints):
+        return profile_period(s.base)
+    if isinstance(s, (Union, Inter, Diff)):
+        return math.lcm(profile_period(s.left), profile_period(s.right))
+    return 1
+
+
 def _lift(p: Profile, period: int) -> Iterator[int]:
     """p's residues modulo ``period``, a multiple of p.period."""
     return (r + k for k in range(0, period, p.period) for r in p.residues)
@@ -761,6 +776,8 @@ def finiteness(s: IndexSet) -> int | Unbounded | None:
         if s.pattern is not None:
             return INFINITE
         return s.blocks[-1][1] if s.blocks else 0
+    if isinstance(s, Compl) and _sparse_union(s.arg):
+        return INFINITE  # before the union's profile, which lifts every residue to the lcm
     if isinstance(s, Compl) and (p := periodic_profile(s.arg)) is not None:
         # Read from the argument's residues: the complement's profile lists the rest.
         return INFINITE if len(p.residues) < p.period else p.start - 1
@@ -814,6 +831,23 @@ def _max_factorial_in_profile(base: IndexSet, y: IndexSet, p: Profile) -> int:
         if f < p.start:
             f *= j
     return math.factorial(last) if last else 0
+
+
+def _sparse_union(s: IndexSet) -> bool:
+    """Whether s is a union of terms that each have a profile and whose
+    densities sum below 1, so that its complement is infinite.  Each term
+    is profiled on its own, so no residue is lifted to the lcm of their
+    periods; where this holds, the union's own profile gives the same."""
+    if not isinstance(s, Union):
+        return False
+    total = 0
+    for term in _union_terms(s):
+        if not isinstance(term, Union):
+            p = periodic_profile(term)
+            if p is None:
+                return False
+            total += p.density
+    return total < 1
 
 
 def is_finite(s: IndexSet) -> bool | None:

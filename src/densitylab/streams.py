@@ -17,19 +17,25 @@ from functools import cached_property, reduce
 from itertools import chain, islice, repeat, starmap
 
 from . import verdicts
+from .densities import finiteness_with_density
 from .indexsets import (
     DEFAULT_HORIZON,
+    INFINITE,
     NAT,
     Compl,
     Finite,
     IndexSet,
     IndexSetError,
     Inter,
+    NthElementError,
     Union,
     count,
     is_finite,
     member,
+    nth_element,
+    profile_period,
     provably_disjoint,
+    provably_empty,
     segments,
 )
 from .verdicts import RelationVerdict
@@ -56,6 +62,7 @@ __all__ = [
     "weakly_dominates",
     "Value",
     "DEFAULT_HORIZON",
+    "WINDOW_CAP",
 ]
 
 
@@ -444,6 +451,10 @@ def apply_permutation(x: Stream, perm: FinitePermutation) -> Stream:
 _EMPTY_SET = Finite(())
 _FULL_SET = Compl(_EMPTY_SET)
 
+# A set bounded above this is not counted to its bound, nor is a difference
+# window materialized, nor a pair counted whose sets have a longer period.
+WINDOW_CAP = 1_000_000
+
 
 def _regions(x: Piecewise) -> list[tuple[IndexSet, Fraction]]:
     """Clause regions plus the default region (complement of all clauses)."""
@@ -467,16 +478,27 @@ def _union(parts: list[IndexSet]) -> IndexSet:
     return reduce(Union, parts) if parts else _EMPTY_SET
 
 
+def _disjoint_clauses(x: Piecewise) -> bool:
+    """Whether the clause sets of x are pairwise provably disjoint."""
+    cl = x.clauses
+    return all(provably_disjoint(cl[i][0], cl[j][0])
+               for i in range(len(cl)) for j in range(i + 1, len(cl)))
+
+
 class PairAnalysis:
     """What the dominance relations ask of a pair (x, y), each part computed
     once, on first use.
 
     For two piecewise streams the analysis is symbolic: ``pairs`` gives the
     co-occurring region pairs, and the strict, reverse-strict and non-strict
-    sets are unions of their intersections.  For other pairs these are None
-    (undecided), and ``first_strict`` and ``first_nonstrict`` give the first
-    such coordinate up to the horizon, each from a walk that stops there.
-    Equal streams have the empty strict sets whatever their form.
+    sets are unions of their intersections.  When the clauses of both are
+    pairwise provably disjoint and of bounded period (``counted``), these
+    sets also decide what a walk would: ``least`` counts and walks a set
+    instead of the streams.
+    For other pairs the sets are None (undecided), and ``first_strict`` and
+    ``first_nonstrict`` give the first such coordinate up to the horizon,
+    each from a walk that stops there.  Equal streams have the empty strict
+    sets whatever their form.
     """
 
     def __init__(self, x: Stream, y: Stream, horizon: int = DEFAULT_HORIZON):
@@ -490,6 +512,48 @@ class PairAnalysis:
             return None
         ys = _regions(self.y)
         return [(rx, vx, ry, vy) for rx, vx in _regions(self.x) for ry, vy in ys]
+
+    @cached_property
+    def counted(self) -> bool:
+        """Whether the pair's sets stand in for a walk: two piecewise streams
+        whose clauses are pairwise provably disjoint, and whose sets have a
+        period of at most ``WINDOW_CAP``, so that no profile of them lists
+        more residues.  Other piecewise pairs are walked, so that a lazy
+        OverlapError surfaces where it did."""
+        return (self._grid is not None
+                and math.lcm(*(profile_period(s) for s, _ in self.x.clauses + self.y.clauses))
+                <= WINDOW_CAP
+                and _disjoint_clauses(self.x) and _disjoint_clauses(self.y))
+
+    def least(self, s: IndexSet) -> int | float | None:
+        """The least element of s, ``math.inf`` when s is empty, or None when
+        neither is found.
+
+        Up to the horizon, ``count``, which tables the periodic classes,
+        rules out an empty prefix at once, and the lazy ``segments`` walk
+        stops at the first run; where a bound cannot be evaluated it raises
+        only when no element comes first, as a walk of the streams would.
+        Past it, s is empty when provably so or when counted empty to a
+        finiteness bound of at most ``WINDOW_CAP``; otherwise ``nth_element``
+        seeks its least element when s is infinite or so bounded."""
+        try:
+            found = count(s, self.horizon) > 0
+        except IndexSetError:
+            found = True  # the walk below raises it, unless an element comes first
+        if found:
+            t = next((lo for lo, _, inside in segments(s, self.horizon) if inside), None)
+            if t is not None:
+                return t
+        f = finiteness_with_density(s)
+        bounded = isinstance(f, int) and f <= WINDOW_CAP
+        if provably_empty(s) or bounded and count(s, f) == 0:
+            return math.inf
+        if f is INFINITE or bounded:
+            try:
+                return nth_element(s, 1)
+            except (NthElementError, IndexSetError):
+                pass  # not found within the search's reach
+        return None
 
     def pairs(self, keep=lambda vx, vy: True) -> list[tuple] | None:
         """The co-occurring region pairs ``(rx, vx, ry, vy)`` whose values
@@ -526,8 +590,8 @@ class PairAnalysis:
 
     @cached_property
     def weak(self) -> RelationVerdict:
-        """Whether x_t >= y_t for all t: structural proof, scan counterexample,
-        or undecided at the horizon."""
+        """Whether x_t >= y_t for all t: structural proof, counted or scanned
+        counterexample, or undecided at the horizon."""
         x, y = self.x, self.y
         if self.equal:
             return verdicts.holds(note="streams are structurally equal")
@@ -539,9 +603,16 @@ class PairAnalysis:
         elif isinstance(x, RankFill) and isinstance(y, RankFill):
             if x.fill_on == y.fill_on and x.fill >= y.fill:
                 return verdicts.holds(note="same rank structure with a fill gap")
-        violation, _ = scan_pair(x, y, self.horizon)
-        if violation:
-            return verdicts.fails(counterexample=violation[0])
+        if self.counted:
+            t = self.least(self.reverse)
+            if t == math.inf:
+                return verdicts.holds(note="the reverse strict set is empty")
+            if t is not None:
+                return verdicts.fails(counterexample=t)
+        else:
+            violation, _ = scan_pair(x, y, self.horizon)
+            if violation:
+                return verdicts.fails(counterexample=violation[0])
         return verdicts.undecided(
             horizon=self.horizon, note="no counterexample scanned and no structural proof"
         )

@@ -134,6 +134,20 @@ def test_pareto_on_a_literal_strict_set_beyond_the_horizon():
     assert code == 0 and report["results"]["status"] == "holds"
 
 
+def test_lex_first_difference_beyond_the_horizon():
+    # The only difference is at t = 7000, past the horizon 5040: it is the
+    # least element of the difference set, found by counting.
+    code, report, _ = run_json(["compare", "--axiom", "lex", "--x",
+                                "piecewise(default=0;finite{7000}:1)", "--y", "const(0)"])
+    r = report["results"]
+    assert code == 0 and r["status"] == "holds" and r["note"] == "first difference at t=7000"
+    assert r["witness"]["strict_set"] == "finite{7000}"
+    code, report, _ = run_json(["compare", "--axiom", "lex", "--x", "const(0)", "--y",
+                                "piecewise(default=0;finite{7000}:1)"])
+    assert code == 0 and report["results"]["status"] == "fails"
+    assert report["results"]["counterexample"] == 7000
+
+
 def test_suppes_sen_with_factorials_meeting_a_period():
     # The strict set is factorials meeting ap(1,1000), which is {1}: the
     # difference window ends at its exact maximum, not at 999!.
@@ -447,6 +461,47 @@ def test_welfare_of_a_wide_period_lists_no_period(which, value):
                           timeout=120, preexec_fn=_limit_address_space_to_1gb)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == value
+
+
+def test_liminf_with_a_wide_period_in_the_default_region():
+    # The default region is compl(union(ap(1,1000000007),ap(2,3))); a profile
+    # of the union would lift ap(2,3)'s residue to about 10**9 residues.
+    code = (
+        "import io, json, time\n"
+        "from densitylab.cli import main\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "argv = ['swf', '--which', 'liminf', '--x',\n"
+        "        'piecewise(default=0;ap(1,1000000007):1;ap(2,3):2)']\n"
+        "assert main(argv, stdout=out, stderr=io.StringIO()) == 0\n"
+        "assert time.perf_counter() - start < 5\n"
+        "print(json.loads(out.getvalue())['results']['value'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_lex_with_a_wide_period_is_walked():
+    # The default region compl(ap(1,1000000007)) has a period too long to
+    # profile, so lex walks the pair and meets x_2 = 0 < 1 at once.
+    code = (
+        "import io, json, time\n"
+        "from densitylab.cli import main\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "argv = ['compare', '--axiom', 'lex', '--x',\n"
+        "        'piecewise(default=0;ap(1,1000000007):1)', '--y', 'const(1)']\n"
+        "assert main(argv, stdout=out, stderr=io.StringIO()) == 0\n"
+        "assert time.perf_counter() - start < 5\n"
+        "r = json.loads(out.getvalue())['results']\n"
+        "print(r['status'], r['counterexample'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "fails 2"
 
 
 def test_verify_suite_sizes_have_one_home():

@@ -1,3 +1,4 @@
+import math
 import resource
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from densitylab.indexsets import (
     FactorialIntervals,
     FactorialPoints,
     Finite,
+    IndexSetError,
     Inter,
     Interval,
     Mul,
@@ -33,6 +35,7 @@ from densitylab.indexsets import (
     Union,
     Var,
     count,
+    member,
 )
 
 from conftest import DENSE_FAMILY
@@ -192,3 +195,19 @@ def test_long_interval_recognition():
     assert contains_long_intervals(Compl(DENSE_FAMILY))
     assert not contains_long_intervals(ArithProg(1, 2))
     assert not contains_long_intervals(FactorialIntervals(((1, 10),)))
+
+
+def test_a_pattern_with_an_eventually_negative_factorial_is_not_exact():
+    # (40 - k)! has no value from k = 41 on, so member raises at 84!; the
+    # zero factor folds the limit away, but the density is only an estimate.
+    # k*k - 80*k + 1551 is positive up to k = 33, past the validated blocks,
+    # and -13 at k = 34, though its leading coefficient is positive.
+    quadratic = Add(Sub(Mul(Var(), Var()), Mul(Num(80), Var())), Num(1551))
+    for arg, bad in ((Sub(Num(40), Var()), 84), (quadratic, 68)):
+        family = FactorialIntervals(pattern=BlockPattern(
+            Fact(Sub(TWO_K, Num(1))), Add(Fact(TWO_K), Mul(Num(0), Fact(arg)))))
+        with pytest.raises(IndexSetError):
+            member(family, math.factorial(bad))
+        d = density(family, max_checkpoint=5040)
+        assert not d.exact and d.evidence
+        assert not contains_long_intervals(family)

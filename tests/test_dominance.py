@@ -23,7 +23,7 @@ from densitylab.dominance import (
     upper_asym_dominates,
     weak_pareto_dominates,
 )
-from densitylab.dsl import parse_stream
+from densitylab.dsl import parse_set, parse_stream
 from densitylab.indexsets import (
     NAT,
     ArithProg,
@@ -34,14 +34,22 @@ from densitylab.indexsets import (
 )
 from densitylab.streams import (
     FinitePermutation,
+    PairAnalysis,
     Piecewise,
     RankFill,
     apply_permutation,
     constant,
     strict_set,
+    weakly_dominates,
 )
 from densitylab.verdicts import Status
-from densitylab.verification import brute_force_grading, random_chain_pair, random_window_pair
+from densitylab.verification import (
+    brute_force_grading,
+    membership_bits,
+    random_chain_pair,
+    random_decidable_set,
+    random_window_pair,
+)
 
 FACTS = FactorialPoints(NAT)
 
@@ -217,9 +225,10 @@ def test_lex_equal_streams_fail():
     assert lex_compare(constant(2), constant(2)).status is Status.FAILS
 
 
-def test_lex_undecided_without_structural_equality():
+def test_lex_fails_on_streams_equal_pointwise():
     x = Piecewise(0, ((FACTS, Fraction(0)),))  # equals const(0) pointwise
-    assert lex_compare(x, constant(0), horizon=200).status is Status.UNDECIDED
+    v = lex_compare(x, constant(0), horizon=200)
+    assert v.status is Status.FAILS and v.note == "streams are equal pointwise"
 
 
 def test_lex_total_on_distinguished_pairs():
@@ -233,6 +242,104 @@ def test_lex_total_on_distinguished_pairs():
         else:
             # window streams differing as ASTs differ at some coordinate
             assert a.holds != b.holds
+
+
+def _piecewise_pairs(seed, chain=60, single=100):
+    """Chain pairs in both orientations and single-clause pairs over random sets."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(chain):
+        x, y = random_chain_pair(rng)
+        pairs += [(x, y), (y, x)]
+    for _ in range(single):
+        x, y = (Piecewise(rng.randint(0, 2), ((random_decidable_set(rng, depth=2),
+                                                Fraction(rng.randint(0, 2))),))
+                for _ in range(2))
+        pairs.append((x, y))
+    return pairs
+
+
+def _value_bits(x, n):
+    """{value: bitset of the coordinates 1..n where x takes it}, by membership."""
+    rest = (1 << n) - 1
+    out = {}
+    for s, v in x.clauses:
+        bits = membership_bits(s, n)
+        out[v] = out.get(v, 0) | bits
+        rest &= ~bits
+    out[x.default] = out.get(x.default, 0) | rest
+    return out
+
+
+def _first_bit(bits):
+    return (bits & -bits).bit_length() or None
+
+
+def _pointwise(x, y, n):
+    """(first t <= n with x_t != y_t, first with x_t < y_t, whether x_t > y_t at the first)."""
+    xb, yb = _value_bits(x, n), _value_bits(y, n)
+    above = below = 0
+    for a, p in xb.items():
+        for b, q in yb.items():
+            if a > b:
+                above |= p & q
+            elif a < b:
+                below |= p & q
+    t = _first_bit(above | below)
+    return t, _first_bit(below), t is not None and bool(above >> (t - 1) & 1)
+
+
+def test_lex_and_weak_are_horizon_invariant_and_pointwise_correct():
+    decided = 0
+    # The reverse set of the fixed pair is finite{1000}, past the least horizon.
+    late = Piecewise(0, ((Finite((1000,)), Fraction(1)),))
+    for x, y in _piecewise_pairs(25) + [(constant(0), late), (late, constant(0))]:
+        lex, weak = ([fn(x, y, h) for h in (720, 5040, 40320)]
+                     for fn in (lex_compare, weakly_dominates))
+        for verdicts in (lex, weak):
+            assert len({(v.status, v.counterexample, v.witness_set) for v in verdicts}) == 1, (x, y)
+        lex, weak = lex[-1], weak[-1]
+        n = max(40320, lex.counterexample or 0, *(lex.witness_set.elements if lex.holds else ()))
+        first, violation, above = _pointwise(x, y, n)
+        if lex.holds:
+            assert lex.witness_set == Finite((first,)) and above
+        elif lex.status is Status.FAILS:
+            assert lex.counterexample == first and not above
+        if weak.holds:
+            assert violation is None
+        elif weak.status is Status.FAILS:
+            assert weak.counterexample == violation
+        decided += lex.status is not Status.UNDECIDED and weak.status is not Status.UNDECIDED
+    assert decided >= 200
+
+
+def test_counted_pair_answers_before_a_set_error():
+    # Block 41 takes the factorial of -1, so a count to the horizon raises;
+    # the walk of the set meets the first difference, at t = 1, before it.
+    failing = parse_set("fintervals[(2k,2k+1+0*(40-k)!)]")
+    x = Piecewise(0, ((failing, Fraction(1)),))
+    assert lex_compare(x, constant(1), 200).counterexample == 1
+    assert weakly_dominates(x, constant(1), 200).counterexample == 1
+
+
+def test_piecewise_pairs_with_disjoint_clauses_are_not_walked(monkeypatch):
+    import densitylab.dominance as dominance
+    import densitylab.streams as streams
+
+    def walk(*args, **kwargs):
+        raise AssertionError("scan_pair walked a counted pair")
+
+    monkeypatch.setattr(streams, "scan_pair", walk)
+    monkeypatch.setattr(dominance, "scan_pair", walk)
+    for x, y in _piecewise_pairs(26, chain=30, single=50):
+        assert PairAnalysis(x, y).counted
+        lex_compare(x, y)
+        for predicate in DOMINANCE_PREDICATES.values():
+            predicate(x, y)
+        implication_chain_report(x, y)
+    u = FactorialPoints(Finite((1, 2, 3, 4, 7)))
+    with pytest.raises(AssertionError, match="walked"):
+        lex_compare(RankFill(u, Fraction(2)), RankFill(u))
 
 
 # -- anonymity ---------------------------------------------------------------------
