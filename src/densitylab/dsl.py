@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from . import indexsets as ix
 from .indexsets import IndexSet
@@ -45,91 +47,96 @@ class DslError(ValueError):
 # exhaust the recursion of the parser and of the set analyses.
 MAX_NESTING = 256
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-z_]+)|(->)|([{}()\[\],;:=+\-*/!@]))")
+# One token: an integer, a word, an arrow, or any other single character,
+# which the parser reads as punctuation or rejects as unexpected.
+_TOKEN_RE = re.compile(r"\d+|[a-z_]+|->|\S")
+# A character that no token of the syntax takes.
+_BAD_RE = re.compile(r"[^\s\da-z_{}()\[\],;:=+\-*/!@>]|(?<!-)>")
+_WORD_START = frozenset("abcdefghijklmnopqrstuvwxyz_")
+# Distinct texts whose parse each parser keeps; its values are immutable.
+_CACHE_SIZE = 4096
+# Equal rationals of any text are one object, fetched faster than built.
+_fraction = lru_cache(maxsize=_CACHE_SIZE)(Fraction)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = depth = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise DslError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        num, word, arrow, punct = m.groups()
-        tok_pos = m.end() - len(m.group().lstrip())
-        if num is not None:
-            tokens.append(("int", int(num), tok_pos))
-        elif word is not None:
-            tokens.append(("word", word, tok_pos))
-        elif arrow is not None:
-            tokens.append(("arrow", "->", tok_pos))
-        else:
-            depth += (punct in "([{") - (punct in ")]}")
-            if depth > MAX_NESTING:
-                raise DslError(f"brackets nested deeper than {MAX_NESTING}", tok_pos)
-            tokens.append(("punct", punct, tok_pos))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _shown(tok: str):
+    """A token as error messages show it: an int, a string, or None at the end."""
+    return int(tok) if tok.isdecimal() else tok or None
+
+
+def _check_lexemes(text: str) -> None:
+    """Raise the text's first lexical error, if any: an unexpected character,
+    brackets nested deeper than MAX_NESTING, or an int past the int-string limit."""
+    bad = _BAD_RE.search(text)
+    end = bad.start() if bad else len(text)
+    deep = sum(map(text.count, "([{")) > MAX_NESTING
+    depth = 0
+    for m in _TOKEN_RE.finditer(text, 0, end):
+        tok = m[0]
+        if tok.isdecimal():
+            int(tok)  # raises past sys.get_int_max_str_digits()
+        elif deep and (depth := depth + (tok in "([{") - (tok in ")]}")) > MAX_NESTING:
+            raise DslError(f"brackets nested deeper than {MAX_NESTING}", m.start())
+    if bad:
+        raise DslError(f"unexpected character {bad[0]!r}", end)
 
 
 class _Parser:
+    """Recursive descent over the token strings of one text."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" stands for the end
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message, i=None):
+        """Raise at token i (default: the current one), located by a re-scan."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), self.i if i is None else i, None), None)
+        raise DslError(message, len(self.text) if m is None else m.start())
 
-    def next(self):
+    def accept(self, value: str) -> bool:
+        ok = self.tokens[self.i] == value
+        self.i += ok
+        return ok
+
+    def expect(self, *values: str) -> None:
+        for value in values:
+            tok = self.tokens[self.i]
+            if tok != value:
+                self.fail(f"expected {'arrow' if value == '->' else value!r}, found {_shown(tok)!r}")
+            self.i += 1
+
+    def integer(self) -> int:
         tok = self.tokens[self.i]
+        if not tok.isdecimal():
+            self.fail(f"expected 'int', found {_shown(tok)!r}")
+        self.i += 1
+        return int(tok)
+
+    def word(self) -> str:
+        tok = self.tokens[self.i]
+        if tok[:1] not in _WORD_START:
+            self.fail(f"expected 'word', found {_shown(tok)!r}")
         self.i += 1
         return tok
-
-    def error(self, message):
-        raise DslError(message, self.peek()[2])
-
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise DslError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def accept(self, kind, value=None):
-        tok = self.peek()
-        if tok[0] == kind and (value is None or tok[1] == value):
-            self.i += 1
-            return True
-        return False
-
-    def at_end(self):
-        return self.peek()[0] == "end"
 
     # -- rationals ----------------------------------------------------------
 
     def rational(self) -> Fraction:
-        sign = -1 if self.accept("punct", "-") else 1
-        num = self.expect("int")[1]
-        if self.accept("punct", "/"):
-            den = self.expect("int")[1]
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        num = -self.integer() if self.accept("-") else self.integer()
+        den = self.integer() if self.accept("/") else 1
+        if den == 0:
+            self.fail("zero denominator")
+        return _fraction(num, den)
 
     # -- bound expressions ---------------------------------------------------
 
     def bound_expr(self):
         node = self.bound_term()
         while True:
-            if self.accept("punct", "+"):
+            if self.accept("+"):
                 node = ix.Add(node, self.bound_term())
-            elif self.accept("punct", "-"):
+            elif self.accept("-"):
                 node = ix.Sub(node, self.bound_term())
             else:
                 return node
@@ -137,189 +144,185 @@ class _Parser:
     def bound_term(self):
         node = self.bound_factor()
         while True:
-            if self.accept("punct", "*"):
+            if self.accept("*"):
                 node = ix.Mul(node, self.bound_factor())
-            elif self.accept("punct", "/"):
+            elif self.accept("/"):
                 node = ix.Div(node, self.bound_factor())
             else:
                 return node
 
     def bound_factor(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.next()
-            node = ix.Num(tok[1])
-            if self.peek()[0] == "word" and self.peek()[1] == "k":
-                self.next()
+        tok = self.tokens[self.i]
+        if tok.isdecimal():
+            node = ix.Num(self.integer())
+            if self.accept("k"):
                 node = ix.Mul(node, ix.Var())
-        elif tok[0] == "word" and tok[1] == "k":
-            self.next()
+        elif self.accept("k"):
             node = ix.Var()
-        elif tok[0] == "punct" and tok[1] == "(":
-            self.next()
+        elif self.accept("("):
             node = self.bound_expr()
-            self.expect("punct", ")")
+            self.expect(")")
         else:
-            self.error(f"expected a bound expression, found {tok[1]!r}")
-        while self.accept("punct", "!"):
+            self.fail(f"expected a bound expression, found {_shown(tok)!r}")
+        while self.accept("!"):
             node = ix.Fact(node)
         return node
 
     # -- sets -----------------------------------------------------------------
 
     def index_set(self) -> IndexSet:
-        tok = self.expect("word")
-        name = tok[1]
+        at = self.i
+        name = self.word()
         if name == "finite":
-            self.expect("punct", "{")
+            self.expect("{")
             elems = []
-            if not self.accept("punct", "}"):
-                elems.append(self.expect("int")[1])
-                while self.accept("punct", ","):
-                    elems.append(self.expect("int")[1])
-                self.expect("punct", "}")
+            if not self.accept("}"):
+                elems.append(self.integer())
+                while self.accept(","):
+                    elems.append(self.integer())
+                self.expect("}")
             return ix.Finite(tuple(elems))
-        if name == "ap":
-            self.expect("punct", "(")
-            a = self.expect("int")[1]
-            self.expect("punct", ",")
-            d = self.expect("int")[1]
-            self.expect("punct", ")")
-            return ix.ArithProg(a, d)
+        if name in ("ap", "interval"):
+            self.expect("(")
+            a = self.integer()
+            self.expect(",")
+            b = self.integer()
+            self.expect(")")
+            return (ix.ArithProg if name == "ap" else ix.Interval)(a, b)
         if name == "nat":
             return ix.NAT
-        if name == "interval":
-            self.expect("punct", "(")
-            lo = self.expect("int")[1]
-            self.expect("punct", ",")
-            hi = self.expect("int")[1]
-            self.expect("punct", ")")
-            return ix.Interval(lo, hi)
         if name == "factorials":
-            if self.accept("punct", "("):
+            if self.accept("("):
                 base = self.index_set()
-                self.expect("punct", ")")
+                self.expect(")")
             else:
                 base = ix.NAT
             return ix.FactorialPoints(base)
         if name == "fintervals":
             return self.fintervals()
         if name in ("union", "inter", "diff"):
-            self.expect("punct", "(")
+            self.expect("(")
             left = self.index_set()
-            self.expect("punct", ",")
+            self.expect(",")
             right = self.index_set()
-            self.expect("punct", ")")
+            self.expect(")")
             return {"union": ix.Union, "inter": ix.Inter, "diff": ix.Diff}[name](left, right)
         if name == "compl":
-            self.expect("punct", "(")
+            self.expect("(")
             arg = self.index_set()
-            self.expect("punct", ")")
+            self.expect(")")
             return ix.Compl(arg)
-        raise DslError(f"unknown set form {name!r}", tok[2])
+        self.fail(f"unknown set form {name!r}", at)
 
     def fintervals(self) -> ix.FactorialIntervals:
-        self.expect("punct", "[")
+        self.expect("[")
         blocks = []
         pattern = None
         while True:
-            pair_pos = self.peek()[2]
-            self.expect("punct", "(")
+            pair_at = self.i
+            self.expect("(")
             lo = self.bound_expr()
-            self.expect("punct", ",")
+            self.expect(",")
             hi = self.bound_expr()
-            self.expect("punct", ")")
+            self.expect(")")
             start = 1
-            if self.accept("punct", "@"):
-                start = self.expect("int")[1]
-            if ix.bound_uses_var(lo) or ix.bound_uses_var(hi):
+            if self.accept("@"):
+                start = self.integer()
+            if "k" in self.tokens[pair_at:self.i]:  # a bound names the block variable
                 if pattern is not None:
-                    raise DslError("only one block pattern is allowed", pair_pos)
+                    self.fail("only one block pattern is allowed", pair_at)
                 pattern = ix.BlockPattern(lo=lo, hi=hi, start=start)
             else:
                 if pattern is not None:
-                    raise DslError("explicit blocks must precede the pattern", pair_pos)
+                    self.fail("explicit blocks must precede the pattern", pair_at)
                 blocks.append((ix.eval_bound(lo), ix.eval_bound(hi)))
-            if not self.accept("punct", ";"):
+            if not self.accept(";"):
                 break
-        self.expect("punct", "]")
+        self.expect("]")
         return ix.FactorialIntervals(tuple(blocks), pattern)
 
     # -- streams ---------------------------------------------------------------
 
     def stream(self) -> Stream:
-        tok = self.expect("word")
-        name = tok[1]
+        at = self.i
+        name = self.word()
         if name == "const":
-            self.expect("punct", "(")
+            self.expect("(")
             v = self.rational()
-            self.expect("punct", ")")
+            self.expect(")")
             return Piecewise(v)
         if name == "piecewise":
-            self.expect("punct", "(")
-            self.expect("word", "default")
-            self.expect("punct", "=")
+            self.expect("(", "default", "=")
             default = self.rational()
             clauses = []
-            while self.accept("punct", ";"):
+            while self.accept(";"):
                 s = self.index_set()
-                self.expect("punct", ":")
+                self.expect(":")
                 clauses.append((s, self.rational()))
-            self.expect("punct", ")")
+            self.expect(")")
             return Piecewise(default, tuple(clauses))
         if name == "rankfill":
-            self.expect("punct", "(")
+            self.expect("(")
             u = self.index_set()
             fill = Fraction(1)
-            if self.accept("punct", ","):
+            if self.accept(","):
                 fill = self.rational()
-            self.expect("punct", ")")
+            self.expect(")")
             return RankFill(u, fill)
-        raise DslError(f"unknown stream form {name!r}", tok[2])
+        self.fail(f"unknown stream form {name!r}", at)
 
     # -- permutations ------------------------------------------------------------
 
     def permutation(self) -> FinitePermutation:
-        self.expect("word", "perm")
-        self.expect("punct", "[")
-        bound = self.expect("int")[1]
-        self.expect("punct", "]")
-        self.expect("punct", "(")
+        self.expect("perm", "[")
+        bound = self.integer()
+        self.expect("]", "(")
         pairs = {}
-        if not self.accept("punct", ")"):
+        if not self.accept(")"):
             while True:
-                src = self.expect("int")[1]
-                self.expect("arrow")
-                dst = self.expect("int")[1]
+                src = self.integer()
+                self.expect("->")
+                dst = self.integer()
                 if src in pairs:
-                    self.error(f"duplicate source {src}")
+                    self.fail(f"duplicate source {src}")
                 pairs[src] = dst
-                if not self.accept("punct", ","):
+                if not self.accept(","):
                     break
-            self.expect("punct", ")")
+            self.expect(")")
         return FinitePermutation.from_pairs(pairs, bound)
 
 
 def _parse(text: str, production: str):
+    """Parse the text; a lexical error wins over any the parser or a constructor meets."""
+    if sum(map(text.count, "([{")) > MAX_NESTING:
+        _check_lexemes(text)
     p = _Parser(text)
-    node = getattr(p, production)()
-    if not p.at_end():
-        p.error(f"trailing input {p.peek()[1]!r}")
+    try:
+        node = getattr(p, production)()
+        if p.tokens[p.i]:
+            p.fail(f"trailing input {_shown(p.tokens[p.i])!r}")
+    except Exception:
+        _check_lexemes(text)
+        raise
     return node
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_set(text: str) -> IndexSet:
     return _parse(text, "index_set")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_stream(text: str) -> Stream:
     return _parse(text, "stream")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_permutation(text: str) -> FinitePermutation:
     return _parse(text, "permutation")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_rational(text: str) -> Fraction:
     return _parse(text, "rational")
 
@@ -368,14 +371,10 @@ def format_set(s: IndexSet) -> str:
                 pat += f"@{s.pattern.start}"
             parts.append(pat)
         return "fintervals[" + ";".join(parts) + "]"
-    if isinstance(s, ix.Union):
-        return f"union({format_set(s.left)},{format_set(s.right)})"
-    if isinstance(s, ix.Inter):
-        return f"inter({format_set(s.left)},{format_set(s.right)})"
+    if isinstance(s, (ix.Union, ix.Inter, ix.Diff)):
+        return f"{type(s).__name__.lower()}({format_set(s.left)},{format_set(s.right)})"
     if isinstance(s, ix.Compl):
         return f"compl({format_set(s.arg)})"
-    if isinstance(s, ix.Diff):
-        return f"diff({format_set(s.left)},{format_set(s.right)})"
     raise TypeError(f"not an index set: {s!r}")
 
 

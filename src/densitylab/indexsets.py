@@ -52,7 +52,6 @@ __all__ = [
     "intervals",
     "segments",
     "eval_bound",
-    "bound_uses_var",
     "periodic_profile",
     "profile_period",
     "finiteness",
@@ -157,16 +156,6 @@ def eval_bound(expr: BoundExpr, k: int | None = None) -> int:
             raise IndexSetError(f"factorial argument {v} exceeds cap {_FACT_ARG_CAP}")
         return math.factorial(v)
     raise TypeError(f"not a bound expression: {expr!r}")
-
-
-def bound_uses_var(expr: BoundExpr) -> bool:
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return bound_uses_var(expr.left) or bound_uses_var(expr.right)
-    if isinstance(expr, Fact):
-        return bound_uses_var(expr.arg)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ class OverlapError(StreamError):
 
 
 def _as_fraction(v) -> Fraction:
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise StreamError("stream values must be exact rationals, not floats")
     return Fraction(v)
@@ -88,8 +90,13 @@ class Piecewise:
     clauses: tuple[tuple[IndexSet, Fraction], ...] = ()
 
     def __init__(self, default, clauses=()):
-        object.__setattr__(self, "default", _as_fraction(default))
-        cl = tuple((s, _as_fraction(v)) for s, v in clauses)
+        default = _as_fraction(default)
+        # One object per distinct value, so that walks find equal values by identity.
+        # Keyed by the ratio, which hashes faster than a Fraction.
+        values = {default.as_integer_ratio(): default}
+        cl = tuple((s, values.setdefault((v := _as_fraction(raw)).as_integer_ratio(), v))
+                   for s, raw in clauses)
+        object.__setattr__(self, "default", default)
         object.__setattr__(self, "clauses", cl)
         for i in range(len(cl)):
             for j in range(i + 1, len(cl)):
@@ -299,7 +306,9 @@ def _piecewise_runs(x: Piecewise, n: int) -> Iterator[Run]:
 
 def _maximal_runs(vals: list[Value], rest: Run | None) -> Iterator[Run]:
     """The maximal runs of coordinates 1..len(vals) holding ``vals``, the
-    last extended over ``rest``, the run that follows, when it continues it."""
+    last extended over ``rest``, the run that follows, when it continues it.
+    Equal Fractions of one stream are one object (``Piecewise`` interns its
+    values), so only ints are compared by value."""
     if not vals:
         if rest is not None:
             yield rest
@@ -312,8 +321,8 @@ def _maximal_runs(vals: list[Value], rest: Run | None) -> Iterator[Run]:
             if slope != 1:
                 slope = 0
                 continue
-        elif type(v) is type(last):
-            if slope != 0 and type(v) is int and v == last + 1:
+        elif type(v) is int is type(last):
+            if slope != 0 and v == last + 1:
                 slope, last = 1, v
                 continue
             if slope != 1 and v == last:

@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .densities import exact_density
-from .indexsets import Compl, intervals, is_finite, periodic_profile, provably_empty, provably_nonempty
+from .densities import exact_density, finiteness_with_density
+from .indexsets import INFINITE, Compl, intervals, periodic_profile, provably_empty, provably_nonempty
 from .streams import Permuted, Piecewise, RankFill, Stream, _regions, prefix, runs, values
 
 __all__ = [
@@ -244,16 +244,16 @@ def liminf_swf(x: Stream) -> SwfValue:
     if isinstance(x, Permuted):
         return liminf_swf(x.base)
     if isinstance(x, RankFill):
-        fin = is_finite(x.fill_on)
-        if fin is False:
+        fin = finiteness_with_density(x.fill_on)
+        if fin is INFINITE:
             return SwfValue.finite(x.fill)
-        if fin is True:
+        if fin is not None:
             # Only rank values remain eventually, and those grow without bound.
             return SwfValue.plus_infinity()
         raise SwfError("infinitude of the fill set is undecided")
     if isinstance(x, Piecewise):
         return _least_value(
-            x, lambda r: None if (f := is_finite(r)) is None else not f,
+            x, lambda r: None if (f := finiteness_with_density(r)) is None else f is INFINITE,
             "no region is provably infinite", "liminf depends on a region of undecided infinitude")
     raise TypeError(f"not a stream: {x!r}")
 

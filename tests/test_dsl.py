@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,12 @@ from densitylab.indexsets import (
     FactorialIntervals,
     FactorialPoints,
     Finite,
+    IndexSetError,
     Inter,
     Interval,
     Union,
 )
-from densitylab.streams import FinitePermutation, Piecewise, RankFill, prefix
+from densitylab.streams import FinitePermutation, OverlapError, Piecewise, RankFill, prefix
 
 
 def test_parse_atoms():
@@ -93,6 +95,47 @@ def test_error_positions():
     assert exc.value.position == 0
     with pytest.raises(DslError):
         parse_set("ap(1,2) trailing")
+
+
+PARSERS = [
+    (parse_set, "union(ap(1,2),finite{3})"),
+    (parse_stream, "piecewise(default=1/2;ap(2,3):-1)"),
+    (parse_permutation, "perm[3](1->2,2->1)"),
+    (parse_rational, "-3/4"),
+]
+
+
+@pytest.mark.parametrize("parse, text", PARSERS)
+def test_a_repeated_text_gives_the_same_object(parse, text):
+    assert parse(text) is parse(text)
+    assert 0 < parse.cache_info().maxsize <= 1 << 16
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_set, "ap(1,2) #", DslError),
+    (parse_set, "ap(0,1)", IndexSetError),
+    (parse_stream, "piecewise(default=0;ap(1,2):1;ap(1,2):2)", OverlapError),
+    (parse_rational, "1/0", DslError),
+])
+def test_a_failing_text_raises_on_every_repeat(parse, text, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            parse(text)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string limit")
+def test_an_integer_past_the_int_string_limit_raises_as_a_lexical_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    # Read in text order with the other lexical errors, ahead of any parse error.
+    for text in ("x" + digits, digits + "#", "nat " + digits, digits + "(" * 300):
+        with pytest.raises(ValueError) as exc:
+            parse_set(text)
+        assert not isinstance(exc.value, DslError)
+    for text, position in (("#" + digits, 0), ("(" * 300 + digits, 256)):
+        with pytest.raises(DslError) as exc:
+            parse_set(text)
+        assert exc.value.position == position
 
 
 def test_pattern_must_come_last():

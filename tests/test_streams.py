@@ -527,6 +527,13 @@ def _random_permutation(rng, base, bound):
     return _sorted_matching(prefix(base, bound), prefix(other, bound), rng.randint(1, bound))
 
 
+def test_piecewise_keeps_one_object_per_distinct_value():
+    half = Fraction(1, 2)
+    x = Piecewise(half, ((Finite((1,)), Fraction(1, 2)), (Finite((2,)), 1), (Finite((3,)), Fraction(1))))
+    assert x.default is half and x.clauses[0][1] is half
+    assert x.clauses[1][1] is x.clauses[2][1] == 1
+
+
 def test_permuted_walk_yields_maximal_runs():
     rng = random.Random(18)
     for k in range(150):

@@ -342,6 +342,14 @@ def test_finite_exception_moves_min_not_liminf():
     assert liminf_swf(x) == SwfValue.finite(3)
 
 
+def test_liminf_reads_infinitude_from_density():
+    # compl(factorials(nat)) has density 1, so it is infinite, though its
+    # shape alone does not show it; the factorial points hold the value 1.
+    x = parse_stream("piecewise(default=1;compl(factorials(nat)):0)")
+    assert liminf_swf(x) == SwfValue.finite(0)
+    assert liminf_swf(RankFill(Compl(FACTS))) == SwfValue.finite(1)
+
+
 def test_min_respects_permutations():
     x = Piecewise(2, ((Finite((3,)), Fraction(0)),))
     y = apply_permutation(x, FinitePermutation.swap(3, 9))
